@@ -1,8 +1,8 @@
 """Kronecker-product algebra and spin-1/2 Hamiltonian toolkit.
 
 Layers, bottom to top: ``kron_core`` (the product, its laws as executable
-checks, the perfect-shuffle similarity), ``dense_linalg`` (dependency-free
-dense matrix algebra with a complex Jacobi eigensolver), ``spin_algebra``
+checks, the perfect-shuffle similarity), ``dense_linalg`` (dense matrix
+algebra and a Hermitian eigensolver on LAPACK via numpy), ``spin_algebra``
 (Pauli operators lifted to n-site registers), ``hamiltonian_builder``
 (Zeeman + isotropic exchange Hamiltonians from declarative specs),
 ``matfree_engine`` (the same operators applied term by term to 2^n state
@@ -76,7 +76,6 @@ from .matfree_engine import (
     to_dense,
     total_component_kronsum,
     total_spin_squared_kronsum,
-    worker_count,
 )
 from .matrix_io import format_matrix, load_matrix, parse_matrix, save_matrix
 
@@ -142,5 +141,4 @@ __all__ = [
     "total_spin_squared",
     "total_spin_squared_kronsum",
     "verify_h2_decomposition",
-    "worker_count",
 ]

@@ -15,7 +15,10 @@ from .errors import ShapeError
 # Everything in this package is a dense complex double-precision matrix.
 ComplexMatrix = np.ndarray
 
-# Absolute Frobenius-norm comparison tolerance, overridable per call.
+# Frobenius-norm comparison tolerance, overridable per call.  The Kronecker
+# identity checks scale it by max(1, ||rhs||_F), so for them it is relative
+# to the operand scale; the zero-factor and non-commutation checks use it as
+# an absolute bound.
 DEFAULT_TOL = 1e-10
 
 

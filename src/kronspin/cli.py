@@ -11,8 +11,8 @@ parse error, 3 capacity/allocation, 4 engine mismatch (dense request above
 the dense cap), 5 iterative non-convergence.  ``--json`` emits a run report
 validating against docs/run_report.schema.json; every result row names its
 check and the tolerance it was judged against (null for pure measurements).
-The CLI is batch-only and single-threaded; amplitude-level parallelism lives
-in the engine and follows KRONSPIN_THREADS.
+The CLI is batch-only; dense spectra come from LAPACK through ``eigh`` and
+matrix-free spectra from serial ``matvec`` passes inside Lanczos.
 """
 
 from __future__ import annotations
@@ -542,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="residual tolerance, relative to max(1, ||rhs||_F) for P2-P7; "
+                        "absolute for P1 and P8")
     p.add_argument("--json", action="store_true", help="emit a run report instead of a table")
     p.set_defaults(handler=lambda a: cmd_verify_properties(a.file_a, a.file_b, a.tol, a.json))
 

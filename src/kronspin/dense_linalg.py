@@ -1,16 +1,12 @@
 """Dense complex matrix arithmetic and a Hermitian eigensolver.
 
-The eigensolver is a cyclic Jacobi iteration on the (complex) Hermitian
-matrix: each rotation annihilates one off-diagonal pair through a unitary
-2 x 2 similarity, sweeps repeat until the off-diagonal Frobenius mass falls
-below 1e-12 of the input norm.  Small off-diagonal entries are skipped per
-sweep at a threshold that still forces global convergence.  Purely real
-symmetric inputs (common here: isotropic spin Hamiltonians are real) run the
-same kernel in float64, which roughly halves the work.
-
-Accuracy over speed: this is a desk-scale solver (dimension up to ~2^10),
-deliberately dependency-free so the Kronecker and spin layers sit on code
-whose every rotation is inspectable.
+``eigh`` checks Hermiticity, symmetrizes, and hands the matrix to LAPACK
+through ``numpy.linalg.eigh`` / ``eigvalsh``.  Purely real symmetric inputs
+(common here: isotropic spin Hamiltonians are real) are solved in float64.
+The result is put in canonical form: ascending values, each eigenvector's
+first largest-magnitude component real nonnegative, exact ties ordered by
+that component's index.  ``inverse`` is Gauss-Jordan elimination with
+partial pivoting and an explicit singularity threshold.
 """
 
 from __future__ import annotations
@@ -20,15 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import DEFAULT_TOL, as_matrix, as_square, frobenius
-from .errors import ContractError, ConvergenceError, ShapeError, SingularityError
+from .errors import ContractError, ShapeError, SingularityError
 
 # Pivot magnitude below which elimination refuses to divide.
 PIVOT_TOL = 1e-12
 # Relative Hermiticity tolerance for eigh input checking.
 HERMITICITY_RTOL = 1e-10
-# Off-diagonal Frobenius mass relative to the input norm at which sweeps stop.
-JACOBI_RTOL = 1e-12
-MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,80 +89,6 @@ def inverse(a) -> np.ndarray:
     return aug[:, n:].copy()
 
 
-def _offdiag_norm(w: np.ndarray) -> float:
-    # summed directly over the off-diagonal entries; the subtraction form
-    # sqrt(|W|_F^2 - |diag|^2) cancels catastrophically near convergence
-    a2 = np.abs(w) ** 2
-    np.fill_diagonal(a2, 0.0)
-    return float(np.sqrt(a2.sum()))
-
-
-def _jacobi_sweeps(w: np.ndarray, vt: np.ndarray | None, stop: float):
-    """Cyclic Jacobi on the Hermitian working matrix ``w`` (modified in place).
-
-    ``w`` may be float64 (symmetric) or complex128 (Hermitian); the rotation
-    algebra is written dtype-generically.  Since w stays Hermitian, each
-    similarity U^H w U only needs rows p and q recomputed, with columns
-    mirrored by conjugation; this also stops Hermiticity drift.  ``vt``
-    accumulates the transposed unitary (row k is eigenvector candidate k) so
-    its updates are contiguous as well.  Returns the number of sweeps used or
-    raises ConvergenceError.
-    """
-    n = w.shape[0]
-    if n == 1:
-        return 0
-    for sweep in range(MAX_SWEEPS):
-        off = _offdiag_norm(w)
-        if off <= stop:
-            return sweep
-        # Skipping everything below stop/n still leaves the total off-mass
-        # under stop, so a sweep that rotates nothing has already converged.
-        thresh = stop / n
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = w[p, q]
-                ab = abs(beta)
-                if ab <= thresh:
-                    continue
-                alpha = w[p, p].real
-                gamma = w[q, q].real
-                tau = (gamma - alpha) / (2.0 * ab)
-                # smaller-magnitude root of t^2 - 2*tau*t - 1 = 0
-                if tau >= 0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                phase = beta / ab
-                pc = np.conj(phase)
-                # similarity by U = [[c, -s*phase], [s*conj(phase), c]] on (p, q)
-                rp = w[p, :].copy()
-                rq = w[q, :].copy()
-                new_p = c * rp + (s * phase) * rq
-                new_q = (-s * pc) * rp + c * rq
-                w[p, :] = new_p
-                w[q, :] = new_q
-                w[:, p] = np.conj(new_p)
-                w[:, q] = np.conj(new_q)
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = alpha + t * ab
-                w[q, q] = gamma - t * ab
-                if vt is not None:
-                    vp = vt[p, :].copy()
-                    vq = vt[q, :].copy()
-                    vt[p, :] = c * vp + (s * pc) * vq
-                    vt[q, :] = (-s * phase) * vp + c * vq
-    off = _offdiag_norm(w)
-    if off <= stop:
-        return MAX_SWEEPS
-    raise ConvergenceError(
-        f"Jacobi did not converge in {MAX_SWEEPS} sweeps (off-diagonal {off:.3e}, target {stop:.3e})",
-        estimates=[(float(x), off) for x in np.sort(np.diag(w).real)],
-    )
-
-
 def _canonical_order(values: np.ndarray, vectors: np.ndarray | None):
     """Sort eigenvalues ascending; fix each vector's phase so its first
     largest-magnitude component is real nonnegative; break exact eigenvalue
@@ -189,28 +108,22 @@ def _canonical_order(values: np.ndarray, vectors: np.ndarray | None):
 
 
 def eigh(a, want_vectors: bool = True) -> Spectrum:
-    """Full spectrum of a Hermitian matrix via cyclic Jacobi rotations."""
+    """Full spectrum of a Hermitian matrix via LAPACK (numpy.linalg)."""
     a = as_square(a)
     n = a.shape[0]
-    norm = frobenius(a)
-    if frobenius(a - a.conj().T) > HERMITICITY_RTOL * max(norm, 1.0):
+    if frobenius(a - a.conj().T) > HERMITICITY_RTOL * max(frobenius(a), 1.0):
         raise ContractError(
             f"input is not Hermitian to {HERMITICITY_RTOL} relative tolerance"
         )
     herm = 0.5 * (a + a.conj().T)
-    if np.count_nonzero(herm.imag) == 0:
-        w = np.ascontiguousarray(herm.real)
-    else:
-        w = herm.copy()
-    vt = None
+    w = herm.real if np.count_nonzero(herm.imag) == 0 else herm
     if want_vectors:
-        vt = np.eye(n, dtype=w.dtype)
-    _jacobi_sweeps(w, vt, stop=JACOBI_RTOL * max(norm, 1e-300))
-    values = np.diag(w).real.copy()
-    v = None if vt is None else vt.T.copy()
+        values, v = np.linalg.eigh(w)
+    else:
+        values, v = np.linalg.eigvalsh(w), None
     values, v = _canonical_order(values, v)
     if v is not None:
-        v = np.ascontiguousarray(v.astype(np.complex128))
+        v = np.ascontiguousarray(v, dtype=np.complex128)
     return Spectrum(eigenvalues=values, dimension=n, eigenvectors=v)
 
 

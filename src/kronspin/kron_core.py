@@ -50,7 +50,9 @@ class ResidualReport:
 
     ``passed`` means residual <= tolerance for every check except the
     non-commutation one, where the claim under test is an inequality and
-    passing means the two products actually differ.  ``diagnostic`` rows
+    passing means the two products actually differ.  For the identities
+    P2-P7, ``tolerance`` is the caller's tol scaled by max(1, ||rhs||_F);
+    P1 and P8 carry the caller's tol unscaled.  ``diagnostic`` rows
     document expected failures (the as-printed inverse form) and are excluded
     from pass/fail aggregation.  ``extras`` carries companion reports emitted
     by the same check.
@@ -170,12 +172,16 @@ def _is_scalar_identity(m: np.ndarray, tol: float) -> bool:
 
 
 def _report(name, lhs, rhs, tol, note="", diagnostic=False, extras=()):
+    """Judge an identity lhs == rhs relative to the operand scale: the bound
+    is tol * max(1, ||rhs||_F), so rounding in large products is not a
+    failure and small ones are still held to tol absolutely."""
     residual = frobenius(lhs - rhs)
+    bound = tol * max(1.0, frobenius(rhs))
     return ResidualReport(
         property_name=name,
         residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
+        tolerance=bound,
+        passed=residual <= bound,
         note=note,
         diagnostic=diagnostic,
         extras=tuple(extras),
@@ -198,7 +204,8 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
     Property 6 needs square invertible operands and attaches the as-printed
     transposed form as a diagnostic extra; property 8 passes when the two
     products differ, with equal operands and scalar-identity pairs accepted
-    as the documented commuting exceptions.
+    as the documented commuting exceptions.  P2-P7 are judged against
+    tol * max(1, ||rhs||_F); P1 and P8 against tol itself.
     """
     operands = [as_matrix(op) for op in operands]
 

@@ -7,11 +7,6 @@ n addresses bit n - k.  Applying one term costs one pass per non-identity
 site over the 2^n amplitudes, so a T-term operator applies in O(T n 2^n)
 time and O(2^n) scratch, never materializing the 2^n x 2^n matrix.
 
-Amplitude passes may be split across threads (KRONSPIN_THREADS overrides the
-worker count); every amplitude is written by exactly one worker with the
-same arithmetic as the serial path, so results are bitwise identical for any
-worker count.
-
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, with full
 reorthogonalization against the stored basis (no ghost eigenvalues at desk
 scale) and a seeded start vector for reproducibility.  Hitting an invariant
@@ -27,8 +22,6 @@ eigenvalues are reported with their multiplicity.
 from __future__ import annotations
 
 import cmath
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +32,6 @@ from .hamiltonian_builder import HamiltonianSpec
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
 from .spin_algebra import AXES, DENSE_SITE_CAP, pauli
-
-# Below this vector length threading overhead outweighs the work.
-_THREAD_MIN_DIM = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,20 +86,15 @@ class KronSum:
         return 1 << self.n_sites
 
 
-def worker_count() -> int:
-    """Worker count for amplitude passes: KRONSPIN_THREADS if set, else the
-    machine parallelism."""
-    env = os.environ.get("KRONSPIN_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"KRONSPIN_THREADS must be >= 1, got {env!r}")
-        return count
-    return os.cpu_count() or 1
-
-
-def _apply_local(v0, v1, o0, o1, f) -> None:
-    """One 2 x 2 factor acting on the site axis of paired amplitude slabs."""
+def _apply_site(src, f, slot: int, n: int, out) -> None:
+    """out = (I x ... x f x ... x I) src with f at 0-based slot; site k + 1
+    is bit n - k - 1, i.e. axis `slot` of the (2, ..., 2) amplitude cube."""
+    pre = 1 << slot
+    post = 1 << (n - slot - 1)
+    s3 = src.reshape(pre, 2, post)
+    o3 = out.reshape(pre, 2, post)
+    v0, v1 = s3[:, 0, :], s3[:, 1, :]
+    o0, o1 = o3[:, 0, :], o3[:, 1, :]
     f00, f01, f10, f11 = f[0, 0], f[0, 1], f[1, 0], f[1, 1]
     if f01 == 0 and f10 == 0:
         np.multiply(v0, f00, out=o0)
@@ -122,35 +107,6 @@ def _apply_local(v0, v1, o0, o1, f) -> None:
         o0 += f01 * v1
         np.multiply(v0, f10, out=o1)
         o1 += f11 * v1
-
-
-def _apply_site(src, f, slot: int, n: int, out, pool) -> None:
-    """out = (I x ... x f x ... x I) src with f at 0-based slot; site k + 1
-    is bit n - k - 1, i.e. axis `slot` of the (2, ..., 2) amplitude cube."""
-    pre = 1 << slot
-    post = 1 << (n - slot - 1)
-    s3 = src.reshape(pre, 2, post)
-    o3 = out.reshape(pre, 2, post)
-    v0, v1 = s3[:, 0, :], s3[:, 1, :]
-    o0, o1 = o3[:, 0, :], o3[:, 1, :]
-    if pool is None:
-        _apply_local(v0, v1, o0, o1, f)
-        return
-    workers = pool._max_workers
-    axis = 0 if pre >= post else 1
-    length = pre if axis == 0 else post
-    chunks = min(workers, length)
-    bounds = [length * w // chunks for w in range(chunks + 1)]
-    futures = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if axis == 0:
-            futures.append(pool.submit(
-                _apply_local, v0[lo:hi], v1[lo:hi], o0[lo:hi], o1[lo:hi], f))
-        else:
-            futures.append(pool.submit(
-                _apply_local, v0[:, lo:hi], v1[:, lo:hi], o0[:, lo:hi], o1[:, lo:hi], f))
-    for fut in futures:
-        fut.result()
 
 
 def matvec(op: KronSum, x) -> np.ndarray:
@@ -168,24 +124,16 @@ def matvec(op: KronSum, x) -> np.ndarray:
     y = np.zeros(dim, dtype=np.complex128)
     ping = np.empty(dim, dtype=np.complex128)
     pong = np.empty(dim, dtype=np.complex128)
-    workers = worker_count()
-    pool = None
-    if workers > 1 and dim >= _THREAD_MIN_DIM:
-        pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        for term in op.terms:
-            src = x
-            dst = ping
-            for slot in term.active_slots:
-                _apply_site(src, term.factors[slot], slot, n, dst, pool)
-                src = dst
-                dst = pong if dst is ping else ping
-            # src is x itself for identity terms; scale into the free buffer
-            np.multiply(src, term.coefficient, out=dst)
-            y += dst
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for term in op.terms:
+        src = x
+        dst = ping
+        for slot in term.active_slots:
+            _apply_site(src, term.factors[slot], slot, n, dst)
+            src = dst
+            dst = pong if dst is ping else ping
+        # src is x itself for identity terms; scale into the free buffer
+        np.multiply(src, term.coefficient, out=dst)
+        y += dst
     return y
 
 

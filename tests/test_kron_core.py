@@ -303,3 +303,16 @@ class TestCheckProperty:
             check_property(7, [a, b, a, b]),
         ):
             assert rep.passed == (rep.residual <= rep.tolerance)
+
+    def test_identities_judged_relative_to_operand_scale(self):
+        # entries near 20: the laws hold to rounding, but the absolute
+        # Frobenius residual of P7 is ~1e-9, above the default tol
+        rng = np.random.default_rng(5)
+        a, b = (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+                + 20.0 * np.eye(16) for _ in range(2))
+        for index, operands in ((3, [a, b, b]), (4, [a, b, a]), (7, [a, b, a, b])):
+            rep = check_property(index, operands)
+            assert rep.passed, f"{rep.property_name}: residual {rep.residual:.3e}"
+            assert rep.tolerance > 1e-10
+        assert check_property(1, [a, b]).tolerance == 1e-10
+        assert check_property(8, [a, b]).tolerance == 1e-10

@@ -29,7 +29,6 @@ from kronspin.matfree_engine import (
     to_dense,
     total_component_kronsum,
     total_spin_squared_kronsum,
-    worker_count,
 )
 from kronspin.spin_algebra import pauli, total_component, total_spin_squared
 
@@ -182,33 +181,6 @@ class TestMatvec:
         lhs = np.vdot(x, matvec(op, y))
         rhs = np.conj(np.vdot(y, matvec(op, x)))
         assert abs(lhs - rhs) < 1e-11
-
-
-class TestThreading:
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("KRONSPIN_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_worker_count_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("KRONSPIN_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_worker_count_default_is_machine(self, monkeypatch):
-        monkeypatch.delenv("KRONSPIN_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_results_bitwise_identical_across_worker_counts(self, monkeypatch):
-        n = 16  # above the threading threshold so slabs actually split
-        op = spec_to_kronsum(chain_spec(n, 0.9, 1.1))
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        results = []
-        for workers in ("1", "2", "4", "7"):
-            monkeypatch.setenv("KRONSPIN_THREADS", workers)
-            results.append(matvec(op, x))
-        for r in results[1:]:
-            assert np.array_equal(results[0], r)
 
 
 class TestConservedKronsums:
