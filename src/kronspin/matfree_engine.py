@@ -248,11 +248,12 @@ def _lanczos_core(op: KronSum, which: str, k: int, tol: float, max_iter: int,
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
     def orthonormalize(vec, m):
+        # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the rows
         for _ in range(2):
             if n_locked:
-                vec = vec - locked.T @ (locked.conj() @ vec)
+                vec = vec - locked.T @ np.conj(locked @ vec.conj())
             if m:
-                vec = vec - basis[:m].T @ (basis[:m].conj() @ vec)
+                vec = vec - basis[:m].T @ np.conj(basis[:m] @ vec.conj())
         return vec, float(np.linalg.norm(vec))
 
     basis = np.empty((min(32, budget), dim), dtype=np.complex128)

@@ -11,6 +11,7 @@ Parse failures report 1-based line and column numbers.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -23,21 +24,21 @@ _ENTRY_RE = re.compile(rf"^([+-]?{_UNSIGNED})(?:([+-])({_UNSIGNED})i)?$")
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _format_entry(z: complex) -> str:
-    re_part = float(z.real)
-    im_part = float(z.imag)
-    if im_part == 0.0 and not np.signbit(im_part):
+def _format_entry(re_part: float, im_part: float) -> str:
+    negative_im = math.copysign(1.0, im_part) < 0.0
+    if im_part == 0.0 and not negative_im:
         return repr(re_part)
-    sign = "-" if (im_part < 0.0 or np.signbit(im_part)) else "+"
-    return f"{re_part!r}{sign}{abs(im_part)!r}i"
+    return f"{re_part!r}{'-' if negative_im else '+'}{abs(im_part)!r}i"
 
 
 def format_matrix(a) -> str:
     """Render a matrix in the text format (includes the trailing newline)."""
     a = as_matrix(a)
     lines = [f"{a.shape[0]} {a.shape[1]}"]
+    # one row at a time: Python floats format fast, and converting the whole
+    # matrix at once would hold every entry as a Python object
     for row in a:
-        lines.append(" ".join(_format_entry(z) for z in row))
+        lines.append(" ".join(map(_format_entry, row.real.tolist(), row.imag.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronspin.cli import _kronsum_with_scaled_z
 from kronspin.dense_linalg import eigh
-from kronspin.errors import ContractError, SiteRangeError
+from kronspin.errors import CapacityError, ContractError, SiteRangeError
 from kronspin.hamiltonian_builder import (
     CouplingEdge,
     HamiltonianSpec,
@@ -19,7 +20,8 @@ from kronspin.hamiltonian_builder import (
     spec_to_dict,
     verify_h2_decomposition,
 )
-from kronspin.spin_algebra import conserved_residual, pauli, total_component
+from kronspin.matfree_engine import matvec, spec_to_kronsum, to_dense
+from kronspin.spin_algebra import DENSE_SITE_CAP, conserved_residual, pauli, total_component
 
 from conftest import unit_floats
 
@@ -262,3 +264,39 @@ class TestGeneralBuilder:
             for axis in "xyz":
                 want += e.strength * lifted(pauli(axis), e.i) @ lifted(pauli(axis), e.j)
         assert np.max(np.abs(build_general(spec) - want)) < 1e-14
+
+
+def seeded_spec(rng, n: int) -> HamiltonianSpec:
+    """A ring plus random long-range edges, shuffled so stored order differs
+    from site order."""
+    pairs = {tuple(sorted((k, k % n + 1))) for k in range(1, n + 1) if n > 1}
+    pairs |= {(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1) if rng.random() < 0.3}
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    edges = tuple(CouplingEdge(i, j, rng.uniform(-2, 2)) for i, j in pairs)
+    return HamiltonianSpec(n, rng.uniform(-2, 2), edges)
+
+
+class TestDirectFill:
+    def test_z_scaled_build_equals_scaled_kronsum_bitwise(self):
+        rng = np.random.default_rng(3031)
+        for n in range(1, 8):
+            for _ in range(3):
+                spec = seeded_spec(rng, n)
+                z_scale = rng.uniform(-2, 2)
+                want = to_dense(_kronsum_with_scaled_z(spec, z_scale))
+                assert np.array_equal(build_general(spec, z_scale), want)
+
+    def test_dense_cap_build_equals_matvec_columns(self):
+        rng = np.random.default_rng(1212)
+        spec = seeded_spec(rng, DENSE_SITE_CAP)
+        h = build_general(spec)
+        op = spec_to_kronsum(spec)
+        for k in rng.choice(h.shape[0], size=6, replace=False):
+            e = np.zeros(h.shape[0], dtype=np.complex128)
+            e[k] = 1.0
+            assert np.array_equal(matvec(op, e), h[:, k])
+
+    def test_capacity_cap(self):
+        with pytest.raises(CapacityError, match="matrix-free"):
+            build_general(HamiltonianSpec(DENSE_SITE_CAP + 1, 1.0))

@@ -11,6 +11,24 @@ from conftest import complex_matrices
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def per_entry_format(a) -> str:
+    """Oracle for format_matrix: the entry-by-entry writer on numpy scalars."""
+    a = np.asarray(a, dtype=np.complex128)
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    for row in a:
+        entries = []
+        for z in row:
+            re_part = float(z.real)
+            im_part = float(z.imag)
+            if im_part == 0.0 and not np.signbit(im_part):
+                entries.append(repr(re_part))
+            else:
+                sign = "-" if (im_part < 0.0 or np.signbit(im_part)) else "+"
+                entries.append(f"{re_part!r}{sign}{abs(im_part)!r}i")
+        lines.append(" ".join(entries))
+    return "\n".join(lines) + "\n"
+
+
 class TestFormat:
     def test_real_matrix(self):
         text = format_matrix(np.array([[1.0, -0.5], [2e-3, 0.0]]))
@@ -29,6 +47,19 @@ class TestFormat:
 
     def test_trailing_newline(self):
         assert format_matrix(np.eye(1)).endswith("\n")
+
+    def test_matches_per_entry_oracle_on_edge_values(self):
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308,
+                           1e300, -1e300, 0.1, -1.0, 123456789.0])
+        a = np.empty((values.size, values.size), dtype=np.complex128)
+        a.real = values[:, None]
+        a.imag = values[None, :]
+        assert format_matrix(a) == per_entry_format(a)
+
+    @given(complex_matrices())
+    @settings(max_examples=30)
+    def test_matches_per_entry_oracle(self, a):
+        assert format_matrix(a) == per_entry_format(a)
 
 
 class TestParse:

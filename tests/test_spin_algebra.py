@@ -27,6 +27,23 @@ def sector_multiplicity(n: int, s: float) -> int:
     return int((2 * s + 1) * paths)
 
 
+def lifted_total_component(axis: str, n: int) -> np.ndarray:
+    """Oracle for total_component: half the sum of the lifted Pauli matrices."""
+    total = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    for site in range(1, n + 1):
+        total += lift(pauli(axis), site, n)
+    return 0.5 * total
+
+
+def multiplied_total_spin_squared(n: int) -> np.ndarray:
+    """Oracle for total_spin_squared: S_x^2 + S_y^2 + S_z^2 by matrix products."""
+    total = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    for axis in AXES:
+        s = lifted_total_component(axis, n)
+        total += s @ s
+    return total
+
+
 class TestPauli:
     def test_matrices(self):
         assert np.array_equal(pauli("x"), [[0, 1], [1, 0]])
@@ -118,8 +135,21 @@ class TestTotalComponent:
         with pytest.raises(SiteRangeError):
             total_component("z", 0)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("axis", AXES)
+    def test_fill_equals_lifted_sum_bitwise(self, axis, n):
+        assert np.array_equal(total_component(axis, n), lifted_total_component(axis, n))
+
 
 class TestTotalSpinSquared:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_fill_equals_component_squares_bitwise(self, n):
+        assert np.array_equal(total_spin_squared(n), multiplied_total_spin_squared(n))
+
+    def test_capacity_cap(self):
+        with pytest.raises(CapacityError):
+            total_spin_squared(DENSE_SITE_CAP + 1)
+
     def test_single_site_is_three_quarters_identity(self):
         assert np.allclose(total_spin_squared(1), 0.75 * np.eye(2), atol=1e-15)
 
