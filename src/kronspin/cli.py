@@ -42,7 +42,6 @@ from .hamiltonian_builder import CouplingEdge, HamiltonianSpec, build_general, l
 from .kron_core import PROPERTY_NAMES, ResidualReport
 from .matfree_engine import (
     KronSum,
-    KronTerm,
     lanczos_extremal,
     matvec,
     spec_to_kronsum,
@@ -51,7 +50,7 @@ from .matfree_engine import (
     total_spin_squared_kronsum,
 )
 from .matrix_io import format_matrix, load_matrix, save_matrix
-from .spin_algebra import DENSE_SITE_CAP, conserved_residual, pauli, total_component, total_spin_squared
+from .spin_algebra import DENSE_SITE_CAP, conserved_residual, total_component, total_spin_squared
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,6 +68,10 @@ PROBE_COUNT = 3
 def _fail(message: str, code: int) -> int:
     print(f"kronspin: error: {message}", file=sys.stderr)
     return code
+
+
+def _state_alloc_message(n: int) -> str:
+    return f"state allocation failed at n={n} (2^{n} amplitudes)"
 
 
 def _report_json(command: str, inputs, results, started: float) -> str:
@@ -294,6 +297,8 @@ def cmd_spectrum(
             for value, residual in err.estimates:
                 print(f"kronspin: best estimate {value!r} (residual {residual:.3e})", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
+        except MemoryError:
+            return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
         values = spectrum.eigenvalues
         note = f"{values.shape[0]} {which} of {spectrum.dimension} (Lanczos, tol {tol}, seed {seed})"
 
@@ -319,23 +324,6 @@ def cmd_spectrum(
 
 # --------------------------------------------------------------------------
 # conserved
-
-
-def _kronsum_with_scaled_z(spec: HamiltonianSpec, z_scale: float) -> KronSum:
-    """Spec to KronSum, with every two-site z-z coupling term scaled; a scale
-    other than 1 breaks isotropy so [H, S^2] picks up a nonzero commutator."""
-    base = spec_to_kronsum(spec)
-    if z_scale == 1.0:
-        return base
-    sigma_z = pauli("z")
-    terms = []
-    for term in base.terms:
-        slots = term.active_slots
-        if len(slots) == 2 and all(np.array_equal(term.factors[s], sigma_z) for s in slots):
-            terms.append(KronTerm(term.coefficient * z_scale, term.factors))
-        else:
-            terms.append(term)
-    return KronSum(base.n_sites, tuple(terms))
 
 
 def cmd_conserved(
@@ -364,24 +352,27 @@ def cmd_conserved(
         method = "dense"
         note = f"dense commutator at n={n}{scale_note}"
     else:
-        op_h = _kronsum_with_scaled_z(spec, z_scale)
+        op_h = spec_to_kronsum(spec, z_scale)
         s_z_op = total_component_kronsum("z", n)
         s_sq_op = total_spin_squared_kronsum(n)
         rng = np.random.default_rng(seed)
         dim = op_h.dimension
         measured = []
-        for name, first, second in (
-            ("[H, S_z]", op_h, s_z_op),
-            ("[H, S^2]", op_h, s_sq_op),
-            ("[S_z, S^2]", s_z_op, s_sq_op),
-        ):
-            worst = 0.0
-            for _ in range(PROBE_COUNT):
-                x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                x /= np.linalg.norm(x)
-                r = matvec(first, matvec(second, x)) - matvec(second, matvec(first, x))
-                worst = max(worst, float(np.linalg.norm(r)))
-            measured.append((name, worst))
+        try:
+            for name, first, second in (
+                ("[H, S_z]", op_h, s_z_op),
+                ("[H, S^2]", op_h, s_sq_op),
+                ("[S_z, S^2]", s_z_op, s_sq_op),
+            ):
+                worst = 0.0
+                for _ in range(PROBE_COUNT):
+                    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                    x /= np.linalg.norm(x)
+                    r = matvec(first, matvec(second, x)) - matvec(second, matvec(first, x))
+                    worst = max(worst, float(np.linalg.norm(r)))
+                measured.append((name, worst))
+        except MemoryError:
+            return _fail(_state_alloc_message(n), EXIT_CAPACITY)
         method = "probe"
         note = f"matrix-free probe at n={n}, {PROBE_COUNT} unit vectors, seed {seed}{scale_note}"
 
@@ -461,7 +452,7 @@ def cmd_bench(
             matvec(op, x)  # warm-up: page in buffers before timing
             best = min(_timed_matvec(op, x) for _ in range(repeats))
         except MemoryError:
-            return _fail(f"state allocation failed at n={n} (2^{n} amplitudes)", EXIT_CAPACITY)
+            return _fail(_state_alloc_message(n), EXIT_CAPACITY)
         passes = sum(len(t.active_slots) + 1 for t in op.terms)
         rows.append(
             {

@@ -5,8 +5,9 @@ through ``numpy.linalg.eigh`` / ``eigvalsh``.  Purely real symmetric inputs
 (common here: isotropic spin Hamiltonians are real) are solved in float64.
 The result is put in canonical form: ascending values, each eigenvector's
 first largest-magnitude component real nonnegative, exact ties ordered by
-that component's index.  ``inverse`` is Gauss-Jordan elimination with
-partial pivoting and an explicit singularity threshold.
+that component's index.  ``inverse`` is LAPACK through ``numpy.linalg.inv``
+plus one singularity guard: a matrix whose reciprocal 1-norm condition number
+1 / (||A||_1 ||A^-1||_1) is below ``RCOND_TOL`` is refused, whatever its scale.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from ._common import DEFAULT_TOL, as_matrix, as_square, frobenius
 from .errors import ContractError, ShapeError, SingularityError
 
-# Pivot magnitude below which elimination refuses to divide.
-PIVOT_TOL = 1e-12
+# Reciprocal 1-norm condition number below which a matrix counts as singular.
+# Scale-invariant: c * A gives the same value for every nonzero c.
+RCOND_TOL = 1e-12
 # Relative Hermiticity tolerance for eigh input checking.
 HERMITICITY_RTOL = 1e-10
 
@@ -71,22 +73,18 @@ def conj_transpose(a) -> np.ndarray:
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting."""
+    """Matrix inverse via LAPACK; SingularityError when the matrix is exactly
+    singular or its reciprocal 1-norm condition number is below RCOND_TOL."""
     a = as_square(a)
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n, dtype=np.complex128)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < PIVOT_TOL:
-            raise SingularityError(
-                f"pivot magnitude {abs(aug[piv, col]):.3e} below {PIVOT_TOL} at column {col}"
-            )
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] / aug[col, col]
-        rest = np.arange(n) != col
-        aug[rest] -= np.outer(aug[rest, col], aug[col])
-    return aug[:, n:].copy()
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as err:
+        raise SingularityError(f"matrix is exactly singular ({err})") from None
+    rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(a_inv, 1))
+    # written so that a NaN or overflowed condition number is refused too
+    if not rcond >= RCOND_TOL:
+        raise SingularityError(f"reciprocal condition number {rcond:.3e} below {RCOND_TOL}")
+    return a_inv
 
 
 def _canonical_order(values: np.ndarray, vectors: np.ndarray | None):

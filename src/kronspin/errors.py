@@ -22,7 +22,8 @@ class SiteRangeError(KronspinError, ValueError):
 
 
 class SingularityError(KronspinError, ValueError):
-    """A pivot fell below the singularity threshold during elimination."""
+    """A matrix to invert is singular: exactly, or with a reciprocal 1-norm
+    condition number 1 / (||A||_1 ||A^-1||_1) below the inverse's threshold."""
 
 
 class ContractError(KronspinError, ValueError):

@@ -201,8 +201,11 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
     Operand conventions: 1, 2, 5, 6, 8 take (a, b); 3 takes (a1, a2, b) for
     (a1 + a2) x b; 4 takes (a, b1, b2) for a x (b1 + b2); 7 takes
     (a1, b1, a2, b2) for (a1 b1) x (a2 b2).  Property 5 needs two scalars.
-    Property 6 needs square invertible operands and attaches the as-printed
-    transposed form as a diagnostic extra; property 8 passes when the two
+    Property 6 needs square operands that ``dense_linalg.inverse`` accepts:
+    a, b and kron(a, b) (whose condition number is the product of theirs)
+    must each have a reciprocal 1-norm condition number of at least
+    RCOND_TOL, else SingularityError is raised.  It attaches the as-printed
+    transposed form as a diagnostic extra.  Property 8 passes when the two
     products differ, with equal operands and scalar-identity pairs accepted
     as the documented commuting exceptions.  P2-P7 are judged against
     tol * max(1, ||rhs||_F); P1 and P8 against tol itself.

@@ -174,10 +174,12 @@ def _two_site_term(coefficient, fi, i: int, fj, j: int, n: int) -> KronTerm:
     return KronTerm(coefficient, tuple(factors))
 
 
-def spec_to_kronsum(spec: HamiltonianSpec) -> KronSum:
+def spec_to_kronsum(spec: HamiltonianSpec, z_scale: float = 1.0) -> KronSum:
     """Matrix-free form of the Hamiltonian builder's general form: n Zeeman
     terms then 3 terms per coupling edge, in the dense builder's exact
-    accumulation order so dense round-trips compare bitwise."""
+    accumulation order so dense round-trips compare bitwise.  As in
+    ``build_general(spec, z_scale)``, every sigma_z sigma_z coupling is
+    scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is isotropic)."""
     n = spec.n_sites
     terms = []
     sigma_z = pauli("z")
@@ -186,7 +188,8 @@ def spec_to_kronsum(spec: HamiltonianSpec) -> KronSum:
     for edge in spec.couplings:
         for axis in AXES:
             sigma = pauli(axis)
-            terms.append(_two_site_term(edge.strength, sigma, edge.i, sigma, edge.j, n))
+            strength = edge.strength * z_scale if axis == "z" else edge.strength
+            terms.append(_two_site_term(strength, sigma, edge.i, sigma, edge.j, n))
     return KronSum(n, tuple(terms))
 
 

@@ -25,6 +25,10 @@ from kronspin.spin_algebra import pauli
 
 SCHEMA_PATH = "docs/run_report.schema.json"
 
+# 2^56 complex amplitudes (1 EiB) exceed any 57-bit address space, so numpy
+# refuses the state vector at once without touching memory.
+HUGE_SPEC = HamiltonianSpec(56, 1.0, (CouplingEdge(1, 2, 1.0),))
+
 
 @pytest.fixture(scope="module")
 def report_schema():
@@ -211,6 +215,13 @@ class TestSpectrum:
         assert code == EXIT_NO_CONVERGENCE
         assert "best estimate" in capsys.readouterr().err
 
+    def test_lanczos_unallocatable_state_is_capacity_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HUGE_SPEC)
+        assert run(["spectrum", spec, "--engine", "lanczos"]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "state allocation failed at n=56" in err
+        assert "Traceback" not in err
+
     def test_bad_spec_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -267,6 +278,24 @@ class TestConserved:
         for row in report["results"]:
             assert row["method"] == "probe"
             assert row["passed"]
+
+    def test_anisotropy_injection_on_probe_path(self, tmp_path, capsys, report_schema):
+        spec = write_spec(
+            tmp_path,
+            HamiltonianSpec(13, 1.0, tuple(CouplingEdge(i, i + 1, 1.0) for i in range(1, 13))),
+        )
+        assert run(["conserved", spec, "--debug-anisotropy", "2.0", "--json"]) == EXIT_CHECK_FAILED
+        report = check_report(capsys.readouterr().out, report_schema)
+        failed = [r["name"] for r in report["results"] if not r["passed"]]
+        assert failed == ["[H, S^2] commutator residual"]
+        assert all(r["method"] == "probe" for r in report["results"])
+
+    def test_unallocatable_state_is_capacity_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HUGE_SPEC)
+        assert run(["conserved", spec]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "state allocation failed at n=56" in err
+        assert "Traceback" not in err
 
     def test_missing_spec_file(self, tmp_path):
         assert run(["conserved", str(tmp_path / "none.json")]) == EXIT_USAGE

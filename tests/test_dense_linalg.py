@@ -86,6 +86,15 @@ class TestInverse:
         with pytest.raises(SingularityError):
             inverse(np.ones((3, 3)))
 
+    def test_tiny_scale_is_not_singular(self):
+        # condition number 1: singularity is judged by conditioning, not scale
+        got = inverse(1e-13 * identity(4))
+        assert np.allclose(got, 1e13 * np.eye(4), rtol=1e-14, atol=0)
+
+    def test_ill_conditioned_rejected(self):
+        with pytest.raises(SingularityError, match="condition"):
+            inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             inverse(np.ones((2, 3)))

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronspin.cli import _kronsum_with_scaled_z
 from kronspin.dense_linalg import eigh
 from kronspin.errors import CapacityError, ContractError, SiteRangeError
 from kronspin.hamiltonian_builder import (
@@ -284,7 +283,7 @@ class TestDirectFill:
             for _ in range(3):
                 spec = seeded_spec(rng, n)
                 z_scale = rng.uniform(-2, 2)
-                want = to_dense(_kronsum_with_scaled_z(spec, z_scale))
+                want = to_dense(spec_to_kronsum(spec, z_scale))
                 assert np.array_equal(build_general(spec, z_scale), want)
 
     def test_dense_cap_build_equals_matvec_columns(self):

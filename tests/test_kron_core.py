@@ -249,6 +249,14 @@ class TestCheckProperty:
             shuffle_conjugate(kron_inv, (2, 2), (2, 2)), literal_target
         )
 
+    def test_property_6_well_conditioned_d24(self):
+        rng = np.random.default_rng(2424)
+        a, b = (
+            diagonally_dominant(rng.uniform(-1, 1, (24, 24)) + 1j * rng.uniform(-1, 1, (24, 24)))
+            for _ in range(2)
+        )
+        assert check_property(6, [a, b]).passed
+
     def test_property_6_singular_operand(self):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularityError):
