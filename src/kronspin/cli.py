@@ -453,7 +453,6 @@ def cmd_bench(
             best = min(_timed_matvec(op, x) for _ in range(repeats))
         except MemoryError:
             return _fail(_state_alloc_message(n), EXIT_CAPACITY)
-        passes = sum(len(t.active_slots) + 1 for t in op.terms)
         rows.append(
             {
                 "name": f"matvec n={n}",
@@ -463,8 +462,11 @@ def cmd_bench(
                 "terms": len(op.terms),
                 "repeats": repeats,
                 "wall_seconds": best,
-                "amplitudes_touched": dim * passes,
-                "note": f"best of {repeats}, topology {topology}",
+                "amplitudes_touched": op.plan.amplitudes_touched,
+                "note": (
+                    f"best of {repeats}, topology {topology}; amplitudes touched = "
+                    "dim for the diagonal + the slab of each flip-flop move"
+                ),
             }
         )
 

@@ -3,9 +3,19 @@
 An operator is a sum of scalar-weighted terms, each term a chain of per-site
 2 x 2 factors (None meaning identity).  Site 1 is the leftmost Kronecker
 factor and therefore the most significant bit of the state index: site k of
-n addresses bit n - k.  Applying one term costs one pass per non-identity
-site over the 2^n amplitudes, so a T-term operator applies in O(T n 2^n)
-time and O(2^n) scratch, never materializing the 2^n x 2^n matrix.
+n addresses bit n - k.  The 2^n x 2^n matrix is never materialized.
+
+On first use a KronSum is compiled into a ``MatvecPlan`` kept on the
+operator: the diagonal of every term with at most two active sites summed
+into one length-2^n vector, the off-diagonal entries of those terms' local
+2 x 2 and 4 x 4 matrices summed per site set into weighted moves, and the
+terms with three or more active sites kept as they are.  A matvec is then
+one diagonal multiply, one strided update over 2^n / 2 (one site) or
+2^n / 4 (two sites) amplitudes per move, and one pass per active site for
+each remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
+O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per coupling
+edge, independent of the number of sites per term; scratch is one
+length-2^n vector beside the result (three when a term spans three sites).
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, with full
 reorthogonalization against the stored basis (no ghost eigenvalues at desk
@@ -22,7 +32,9 @@ eigenvalues are reported with their multiplicity.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +49,8 @@ from .spin_algebra import AXES, DENSE_SITE_CAP, pauli
 @dataclass(frozen=True)
 class KronTerm:
     """One scalar-weighted factor chain; factors[k] = None means identity at
-    site k + 1, anything else must be a 2 x 2 complex matrix."""
+    site k + 1, anything else must be a 2 x 2 complex matrix (stored as a
+    read-only copy)."""
 
     coefficient: complex
     factors: tuple
@@ -54,6 +67,10 @@ class KronTerm:
             f = as_matrix(f)
             if f.shape != (2, 2):
                 raise ShapeError(f"factor at slot {slot} must be 2x2, got {f.shape}")
+            # a private copy, so the compiled plan cannot go stale when the
+            # caller later writes to its own array
+            f = f.copy()
+            f.setflags(write=False)
             checked.append(f)
         object.__setattr__(self, "factors", tuple(checked))
 
@@ -85,6 +102,126 @@ class KronSum:
     def dimension(self) -> int:
         return 1 << self.n_sites
 
+    @cached_property
+    def plan(self) -> MatvecPlan:
+        """The compiled form ``matvec`` applies, built on first use and kept
+        with the operator (its terms and factors are immutable)."""
+        return _compile(self)
+
+
+@dataclass(frozen=True)
+class MatvecPlan:
+    """A KronSum compiled for ``matvec``.
+
+    ``diagonal`` is the summed diagonal of every term with at most two
+    active sites (float64 when its imaginary part is exactly zero).  Each
+    move ``(shape, dst, src, weight)`` adds ``weight * x_view[src]`` to
+    ``y_view[dst]``, where ``*_view`` is the state reshaped to ``shape``
+    with one length-2 axis per site of the move.  ``fallback`` holds the
+    terms with three or more active sites, applied site by site.
+    """
+
+    diagonal: np.ndarray
+    moves: tuple
+    fallback: tuple[KronTerm, ...]
+
+    @property
+    def amplitudes_touched(self) -> int:
+        """Amplitudes written by one matvec: the diagonal multiply, each
+        move's slab, and per fallback term one pass per active site plus the
+        coefficient pass."""
+        dim = self.diagonal.size
+        slabs = sum(dim >> (len(shape) // 2) for shape, _, _, _ in self.moves)
+        passes = sum(len(t.active_slots) + 1 for t in self.fallback)
+        return dim + slabs + dim * passes
+
+
+def _slab_shape(slots, n: int) -> tuple[int, ...]:
+    """Shape viewing a length-2^n state with one length-2 axis per slot:
+    (2^i, 2, 2^(j-i-1), 2, 2^(n-j-1)) for slots (i, j)."""
+    shape = []
+    prev = -1
+    for slot in slots:
+        shape += [1 << (slot - prev - 1), 2]
+        prev = slot
+    shape.append(1 << (n - prev - 1))
+    return tuple(shape)
+
+
+def _slab_index(bits) -> tuple:
+    """Index selecting the given bit of each slot axis of a slab view."""
+    index = []
+    for b in bits:
+        index += [slice(None), b]
+    index.append(slice(None))
+    return tuple(index)
+
+
+def _local_matrix(term: KronTerm) -> np.ndarray:
+    """coefficient times the Kronecker product of the active factors, with
+    axes (out bit per slot..., in bit per slot...); 0, 1 or 2 slots.  Each
+    entry is coefficient * (f_i * f_j), the product the site passes form."""
+    slots = term.active_slots
+    c = term.coefficient
+    if not slots:
+        return np.asarray(c)
+    if len(slots) == 1:
+        return c * term.factors[slots[0]]
+    fi, fj = term.factors[slots[0]], term.factors[slots[1]]
+    return c * (fi[:, None, :, None] * fj[None, :, None, :])
+
+
+def _compile(op: KronSum) -> MatvecPlan:
+    """Diagonals are summed term by term and local matrices per site set,
+    both in term order, so each entry is the sum the site passes formed."""
+    n = op.n_sites
+    dim = op.dimension
+    # real and imaginary parts add apart, exactly as complex addition does;
+    # the imaginary part is allocated only once some term has one
+    real = np.zeros(dim)
+    imag = None
+    locals_by_slots: dict[tuple, np.ndarray] = {}
+    fallback = []
+    for term in op.terms:
+        slots = term.active_slots
+        if len(slots) > 2:
+            fallback.append(term)
+            continue
+        local = _local_matrix(term)
+        shape = _slab_shape(slots, n)
+        for bits in itertools.product((0, 1), repeat=len(slots)):
+            value = local[bits + bits]
+            index = _slab_index(bits)
+            if value.real != 0:
+                part = real.reshape(shape)[index]
+                part += value.real
+            if value.imag != 0:
+                if imag is None:
+                    imag = np.zeros(dim)
+                part = imag.reshape(shape)[index]
+                part += value.imag
+        if slots:
+            held = locals_by_slots.get(slots)
+            locals_by_slots[slots] = local if held is None else held + local
+
+    if imag is None or not imag.any():
+        diagonal = real
+    else:
+        diagonal = real + 1j * imag
+    diagonal.setflags(write=False)
+
+    moves = []
+    for slots, local in locals_by_slots.items():
+        shape = _slab_shape(slots, n)
+        states = list(itertools.product((0, 1), repeat=len(slots)))
+        for out_bits in states:
+            for in_bits in states:
+                weight = complex(local[out_bits + in_bits])
+                if out_bits == in_bits or weight == 0:
+                    continue
+                moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight))
+    return MatvecPlan(diagonal, tuple(moves), tuple(fallback))
+
 
 def _apply_site(src, f, slot: int, n: int, out) -> None:
     """out = (I x ... x f x ... x I) src with f at 0-based slot; site k + 1
@@ -112,28 +249,34 @@ def _apply_site(src, f, slot: int, n: int, out) -> None:
 def matvec(op: KronSum, x) -> np.ndarray:
     """y = op @ x without materializing op.
 
-    Terms are applied in order and accumulated; within a term the
-    non-identity factors are applied site by site through two ping-pong
-    scratch buffers.  Peak extra memory is three length-2^n vectors.
+    Applies the operator's compiled ``plan`` (built on the first call):
+    y = diagonal * x, then y_view[dst] += weight * x_view[src] for each
+    move, each a strided update over 2^n / 2 or 2^n / 4 amplitudes, then the
+    terms with three or more active sites through two ping-pong scratch
+    buffers.  A coupling edge costs two quarter-length updates.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.ascontiguousarray(x, dtype=np.complex128)
     dim = op.dimension
     if x.shape != (dim,):
         raise ShapeError(f"state length {x.shape} does not match dimension {dim}")
-    n = op.n_sites
-    y = np.zeros(dim, dtype=np.complex128)
-    ping = np.empty(dim, dtype=np.complex128)
-    pong = np.empty(dim, dtype=np.complex128)
-    for term in op.terms:
-        src = x
-        dst = ping
-        for slot in term.active_slots:
-            _apply_site(src, term.factors[slot], slot, n, dst)
-            src = dst
-            dst = pong if dst is ping else ping
-        # src is x itself for identity terms; scale into the free buffer
-        np.multiply(src, term.coefficient, out=dst)
-        y += dst
+    plan = op.plan
+    y = plan.diagonal * x
+    for shape, dst, src, weight in plan.moves:
+        out = y.reshape(shape)[dst]
+        out += weight * x.reshape(shape)[src]
+    if plan.fallback:
+        n = op.n_sites
+        ping = np.empty(dim, dtype=np.complex128)
+        pong = np.empty(dim, dtype=np.complex128)
+        for term in plan.fallback:
+            src = x
+            dst = ping
+            for slot in term.active_slots:
+                _apply_site(src, term.factors[slot], slot, n, dst)
+                src = dst
+                dst = pong if dst is ping else ping
+            np.multiply(src, term.coefficient, out=dst)
+            y += dst
     return y
 
 

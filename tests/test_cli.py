@@ -328,8 +328,19 @@ class TestBench:
         assert run(["bench", "--n-list", "4", "--repeats", "1", "--json"]) == EXIT_OK
         report = check_report(capsys.readouterr().out, report_schema)
         row = report["results"][0]
-        # chain: 4 single-site terms (2 passes each) + 9 two-site terms (3 passes)
-        assert row["amplitudes_touched"] == 16 * (4 * 2 + 9 * 3)
+        # chain: one diagonal pass over 16 amplitudes + 3 edges, each two
+        # flip-flop moves over a 16 / 4 slab (Zeeman and z-z are diagonal)
+        assert row["amplitudes_touched"] == 16 + 3 * 2 * 4
+
+    @pytest.mark.parametrize("topology, n, edges", [("ring", 5, 5), ("all", 4, 6)])
+    def test_amplitudes_touched_follow_the_plan(self, capsys, report_schema, topology, n, edges):
+        argv = ["bench", "--n-list", str(n), "--terms", topology, "--repeats", "1", "--json"]
+        assert run(argv) == EXIT_OK
+        report = check_report(capsys.readouterr().out, report_schema)
+        row = report["results"][0]
+        dim = 1 << n
+        assert row["amplitudes_touched"] == dim + edges * 2 * (dim // 4)
+        assert "diagonal" in row["note"]
 
     def test_rejects_tiny_sites(self, capsys):
         assert run(["bench", "--n-list", "1,4"]) == EXIT_USAGE

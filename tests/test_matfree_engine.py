@@ -183,6 +183,85 @@ class TestMatvec:
         assert abs(lhs - rhs) < 1e-11
 
 
+def mixed_kronsum(rng, n: int) -> KronSum:
+    """Complex coefficients, an identity term, non-Pauli non-Hermitian
+    factors, 1-, 2- and 3-site terms, a diagonal factor, repeated and
+    non-adjacent site sets, and sites used by both 1- and 2-site terms."""
+
+    def factor():
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+    def coefficient():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    def term(slots):
+        factors = [None] * n
+        for slot in slots:
+            factors[slot] = factor()
+        return KronTerm(coefficient(), tuple(factors))
+
+    terms = [term(())]
+    for slot in range(n):
+        terms.append(term((slot,)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms.append(term((i, j)))
+            terms.append(term((i, j)))
+    if n >= 3:
+        terms.append(term((0, 1, 2)))
+        terms.append(term((0, n // 2, n - 1)))
+    terms.append(term((0,)))
+    diagonal = [None] * n
+    diagonal[n - 1] = np.diag([1.5 + 0.5j, -0.25j])
+    terms.append(KronTerm(0.5, tuple(diagonal)))
+    return KronSum(n, tuple(terms))
+
+
+class TestCompiledPlan:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_general_terms_match_dense(self, rng, n):
+        op = mixed_kronsum(rng, n)
+        dense = to_dense(op)
+        for _ in range(3):
+            x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            assert np.max(np.abs(matvec(op, x) - dense @ x)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_totals_match_dense_columns_bitwise(self, n):
+        eye = np.eye(1 << n, dtype=np.complex128)
+        pairs = [(total_component_kronsum(axis, n), total_component(axis, n)) for axis in "xyz"]
+        pairs.append((total_spin_squared_kronsum(n), total_spin_squared(n)))
+        for op, dense in pairs:
+            cols = np.stack([matvec(op, eye[:, k]) for k in range(1 << n)], axis=1)
+            assert np.array_equal(cols, dense)
+
+    def test_exchange_edge_compiles_to_two_flip_flop_moves(self):
+        spec = HamiltonianSpec(3, 0.4, (CouplingEdge(1, 3, -0.75),))
+        plan = spec_to_kronsum(spec).plan
+        assert plan.diagonal.dtype == np.float64
+        assert not plan.diagonal.flags.writeable
+        assert plan.fallback == ()
+        # sigma_x sigma_x + sigma_y sigma_y: 2J at (01 <- 10) and (10 <- 01);
+        # the (00 <- 11) and (11 <- 00) entries cancel and are dropped
+        assert [m[3] for m in plan.moves] == [-1.5, -1.5]
+        assert plan.amplitudes_touched == 8 + 2 * 2
+
+    def test_plan_is_built_once_per_operator(self, rng):
+        op = mixed_kronsum(rng, 4)
+        assert op.plan is op.plan
+        assert len(op.plan.fallback) == 2
+        assert op.plan.diagonal.dtype == np.complex128
+
+    def test_caller_array_mutation_does_not_reach_the_operator(self, rng):
+        f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        op = KronSum(2, (KronTerm(1.0, (f, pauli("z"))),))
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        before = matvec(op, x)
+        f[0, 1] += 5.0
+        assert np.array_equal(matvec(op, x), before)
+        assert not op.terms[0].factors[0].flags.writeable
+
+
 class TestConservedKronsums:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_total_component_matches_dense(self, n):
@@ -299,8 +378,9 @@ class TestLanczos:
 class TestComplexityScaling:
     def test_matvec_cost_scales_near_linear_in_dimension(self):
         # best-of-5 timings on an n-site chain; amplitudes touched per matvec
-        # is dim * sum(len(active) + 1), so log2(time) vs n should fit a line
-        # of slope about 1 once overheads wash out.
+        # is dim (diagonal) + 2 * dim / 4 per edge (flip-flop moves), so
+        # log2(time) vs n should fit a line of slope about 1 once overheads
+        # wash out.
         sizes = (15, 16, 17, 18)
         best = []
         for n in sizes:
