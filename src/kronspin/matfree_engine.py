@@ -17,13 +17,24 @@ O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per coupling
 edge, independent of the number of sites per term; scratch is one
 length-2^n vector beside the result (three when a term spans three sites).
 
+A plan is real when its diagonal is float64, every move weight is a real
+float and no fallback terms remain: every spec Hamiltonian (any XXZ
+anisotropy), S_z, S_x and S^2 compile that way.  ``matvec`` of a real plan
+on a float64 state stays float64 end to end, at half the memory traffic of
+complex128; every other combination computes in complex128.
+
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, with full
 reorthogonalization against the stored basis (no ghost eigenvalues at desk
-scale) and a seeded start vector for reproducibility.  Hitting an invariant
-subspace is handled by restarting with a fresh orthogonalized random vector;
-for a Hermitian operator the complement of an invariant subspace is again
-invariant, so the projected matrix stays block tridiagonal and Ritz residual
-bounds remain valid.  Because one Krylov chain holds at most one copy of
+scale) and a seeded start vector for reproducibility.  For a real plan the
+start vector, the Krylov basis and the projections are float64 (a real
+symmetric operator has a real orthonormal eigenbasis); otherwise they are
+complex128.  Each new vector gets one classical Gram-Schmidt pass, and a
+second one only when the first leaves less than 1/sqrt(2) of its norm
+(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30:772, 1976: "twice is
+enough").  Hitting an invariant subspace is handled by restarting with a
+fresh orthogonalized random vector; for a Hermitian operator the complement
+of an invariant subspace is again invariant, so the projected matrix stays
+block tridiagonal and Ritz residual bounds remain valid.  Because one Krylov chain holds at most one copy of
 each distinct eigenvalue, requests for k > 1 values finish with verification
 sweeps deflated against the accepted eigenvectors, so degenerate extremal
 eigenvalues are reported with their multiplicity.
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,13 +129,17 @@ class MatvecPlan:
     active sites (float64 when its imaginary part is exactly zero).  Each
     move ``(shape, dst, src, weight)`` adds ``weight * x_view[src]`` to
     ``y_view[dst]``, where ``*_view`` is the state reshaped to ``shape``
-    with one length-2 axis per site of the move.  ``fallback`` holds the
-    terms with three or more active sites, applied site by site.
+    with one length-2 axis per site of the move; ``weight`` is a float when
+    its imaginary part is exactly zero, else a complex.  ``fallback`` holds
+    the terms with three or more active sites, applied site by site.
+    ``real`` is true when the diagonal is float64, every weight a float and
+    ``fallback`` empty, i.e. the operator maps real states to real states.
     """
 
     diagonal: np.ndarray
     moves: tuple
     fallback: tuple[KronTerm, ...]
+    real: bool
 
     @property
     def amplitudes_touched(self) -> int:
@@ -219,8 +235,12 @@ def _compile(op: KronSum) -> MatvecPlan:
                 weight = complex(local[out_bits + in_bits])
                 if out_bits == in_bits or weight == 0:
                     continue
+                if weight.imag == 0:
+                    weight = weight.real
                 moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight))
-    return MatvecPlan(diagonal, tuple(moves), tuple(fallback))
+    real = (diagonal.dtype == np.float64 and not fallback
+            and all(isinstance(move[3], float) for move in moves))
+    return MatvecPlan(diagonal, tuple(moves), tuple(fallback), real)
 
 
 def _apply_site(src, f, slot: int, n: int, out) -> None:
@@ -254,12 +274,18 @@ def matvec(op: KronSum, x) -> np.ndarray:
     move, each a strided update over 2^n / 2 or 2^n / 4 amplitudes, then the
     terms with three or more active sites through two ping-pong scratch
     buffers.  A coupling edge costs two quarter-length updates.
+
+    When the plan is real and ``x`` is float64 the result is float64, equal
+    to the real part of the complex128 result on the same state; in every
+    other case ``x`` is converted to and the result returned in complex128.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
+    plan = op.plan
+    x = np.asarray(x)
+    real = plan.real and x.dtype == np.float64
+    x = np.ascontiguousarray(x, dtype=np.float64 if real else np.complex128)
     dim = op.dimension
     if x.shape != (dim,):
         raise ShapeError(f"state length {x.shape} does not match dimension {dim}")
-    plan = op.plan
     y = plan.diagonal * x
     for shape, dst, src, weight in plan.moves:
         out = y.reshape(shape)[dst]
@@ -372,16 +398,23 @@ def _hermitian_sample_check(op: KronSum, rng, pairs: int = 2, rtol: float = 1e-8
             )
 
 
+# DGKS reorthogonalization threshold: a second Gram-Schmidt pass runs when
+# the first leaves less than this fraction of the vector's norm
+_DGKS_ETA = 1 / math.sqrt(2)
+
+
 def _lanczos_core(op: KronSum, which: str, k: int, tol: float, max_iter: int,
                   rng, locked=None):
     """One Lanczos run restricted to the orthogonal complement of ``locked``.
 
     ``locked`` is an optional (count, dim) array of orthonormal rows (already
-    certified eigenvectors); every chain vector is kept orthogonal to them,
-    so the run searches the deflated complement.  Returns (values, vectors,
-    true_residuals, norm_est) with values ordered ascending, or None when the
-    complement is exhausted before producing a value.  Raises
-    ConvergenceError when the iteration budget runs out first.
+    certified eigenvectors, float64 when the plan is real); every chain
+    vector is kept orthogonal to them, so the run searches the deflated
+    complement.  The chain is float64 when ``op.plan.real``, else
+    complex128.  Returns (values, vectors, true_residuals, norm_est) with
+    values ordered ascending, or None when the complement is exhausted
+    before producing a value.  Raises ConvergenceError when the iteration
+    budget runs out first.
     """
     dim = op.dimension
     n_locked = 0 if locked is None else locked.shape[0]
@@ -389,20 +422,41 @@ def _lanczos_core(op: KronSum, which: str, k: int, tol: float, max_iter: int,
     if space < k:
         raise ContractError(f"k = {k} exceeds the {space}-dimensional search space")
     budget = min(max_iter, space)
+    real = op.plan.real
+    dtype = np.float64 if real else np.complex128
 
     def draw():
+        if real:
+            return rng.standard_normal(dim)
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
-    def orthonormalize(vec, m):
+    def coefficients(rows, vec):
+        if real:
+            return rows @ vec
         # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the rows
-        for _ in range(2):
-            if n_locked:
-                vec = vec - locked.T @ np.conj(locked @ vec.conj())
-            if m:
-                vec = vec - basis[:m].T @ np.conj(basis[:m] @ vec.conj())
-        return vec, float(np.linalg.norm(vec))
+        return np.conj(rows @ vec.conj())
 
-    basis = np.empty((min(32, budget), dim), dtype=np.complex128)
+    def project(vec, m):
+        if n_locked:
+            vec -= locked.T @ coefficients(locked, vec)
+        if m:
+            vec -= basis[:m].T @ coefficients(basis[:m], vec)
+
+    def orthonormalize(vec, m):
+        """Project ``vec`` (a fresh array, updated in place) off the locked
+        rows and basis[:m]; return it with its remaining norm."""
+        before = float(np.linalg.norm(vec))
+        project(vec, m)
+        after = float(np.linalg.norm(vec))
+        if after < _DGKS_ETA * before:
+            # the pass cancelled most of the norm, so its rounding error is
+            # large relative to what is left: one more pass restores
+            # orthogonality to working precision
+            project(vec, m)
+            after = float(np.linalg.norm(vec))
+        return vec, after
+
+    basis = np.empty((min(32, budget), dim), dtype=dtype)
     q, qnorm = orthonormalize(draw(), 0)
     if qnorm <= 1e-13:
         return None
@@ -458,7 +512,7 @@ def _lanczos_core(op: KronSum, which: str, k: int, tol: float, max_iter: int,
         if m == budget:
             break
         if m == basis.shape[0]:
-            grown = np.empty((min(budget, 2 * basis.shape[0]), dim), np.complex128)
+            grown = np.empty((min(budget, 2 * basis.shape[0]), dim), dtype)
             grown[: basis.shape[0]] = basis
             basis = grown
         if breakdown:
@@ -488,10 +542,15 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
                      seed: int = 0) -> Spectrum:
     """k extremal eigenvalues of a Hermitian KronSum via Lanczos iteration.
 
-    Full reorthogonalization (two classical Gram-Schmidt passes) against the
-    stored basis; convergence requires the Ritz residual bound and then the
-    true residual ||op v - theta v|| to fall below tol * ||op||_est, where
-    ||op||_est is the largest Ritz magnitude seen.  A single Krylov chain
+    Full reorthogonalization against the stored basis: one classical
+    Gram-Schmidt pass, and a second only when the first leaves less than
+    1/sqrt(2) of the vector's norm (the DGKS criterion).  The Krylov chain
+    runs in float64 when the operator's plan is real (every spec
+    Hamiltonian, S_z and S^2) and in complex128 otherwise; the returned
+    eigenvectors are complex128 and C-contiguous either way.  Convergence
+    requires the Ritz residual bound and then the true residual
+    ||op v - theta v|| to fall below tol * ||op||_est, where ||op||_est is
+    the largest Ritz magnitude seen.  A single Krylov chain
     carries at most one copy of each distinct eigenvalue, so for k > 1 the
     converged set is verified by extra runs deflated against the accepted
     eigenvectors: a found value that beats the least extremal accepted one
@@ -534,4 +593,5 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
             values[worst] = extra_values[0]
             vectors[:, worst] = extra_vectors[:, 0]
     values, vectors = _canonical_order(values, vectors)
+    vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
     return Spectrum(eigenvalues=values, dimension=dim, eigenvectors=vectors)

@@ -342,6 +342,13 @@ class TestBench:
         assert row["amplitudes_touched"] == dim + edges * 2 * (dim // 4)
         assert "diagonal" in row["note"]
 
+    def test_note_names_the_state_dtype(self, capsys, report_schema):
+        # every bench Hamiltonian compiles to a real plan, so the timed state
+        # is float64, as in Lanczos
+        assert run(["bench", "--n-list", "4", "--repeats", "1", "--json"]) == EXIT_OK
+        report = check_report(capsys.readouterr().out, report_schema)
+        assert "float64 state" in report["results"][0]["note"]
+
     def test_rejects_tiny_sites(self, capsys):
         assert run(["bench", "--n-list", "1,4"]) == EXIT_USAGE
 

@@ -241,6 +241,7 @@ class TestCompiledPlan:
         assert plan.diagonal.dtype == np.float64
         assert not plan.diagonal.flags.writeable
         assert plan.fallback == ()
+        assert plan.real
         # sigma_x sigma_x + sigma_y sigma_y: 2J at (01 <- 10) and (10 <- 01);
         # the (00 <- 11) and (11 <- 00) entries cancel and are dropped
         assert [m[3] for m in plan.moves] == [-1.5, -1.5]
@@ -251,6 +252,7 @@ class TestCompiledPlan:
         assert op.plan is op.plan
         assert len(op.plan.fallback) == 2
         assert op.plan.diagonal.dtype == np.complex128
+        assert not op.plan.real
 
     def test_caller_array_mutation_does_not_reach_the_operator(self, rng):
         f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -260,6 +262,50 @@ class TestCompiledPlan:
         f[0, 1] += 5.0
         assert np.array_equal(matvec(op, x), before)
         assert not op.terms[0].factors[0].flags.writeable
+
+
+def hermitian_kronsum(rng, n: int) -> KronSum:
+    """mixed_kronsum plus the adjoint of every term: Hermitian, with complex
+    coefficients and entries and terms on three sites."""
+    op = mixed_kronsum(rng, n)
+    adjoints = [
+        KronTerm(np.conj(t.coefficient),
+                 tuple(None if f is None else f.conj().T for f in t.factors))
+        for t in op.terms
+    ]
+    return KronSum(n, op.terms + tuple(adjoints))
+
+
+class TestRealPlan:
+    """A real plan keeps float64 states float64, with the same arithmetic as
+    the complex path on the real part."""
+
+    @staticmethod
+    def real_operators(rng, n):
+        for z_scale in (1.0, 2.0, -0.7, 0.0):
+            yield spec_to_kronsum(random_spec(rng, n), z_scale)
+        yield total_spin_squared_kronsum(n)
+        yield total_component_kronsum("z", n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_real_state_matches_real_part_of_complex_bitwise(self, rng, n):
+        for op in self.real_operators(rng, n):
+            assert op.plan.real
+            x = rng.standard_normal(1 << n)
+            got = matvec(op, x)
+            full = matvec(op, x.astype(np.complex128))
+            assert got.dtype == np.float64
+            assert full.dtype == np.complex128
+            assert np.array_equal(got, full.real)
+            assert not full.imag.any()
+
+    def test_complex_plans_and_complex_states_stay_complex(self, rng):
+        s_y = total_component_kronsum("y", 3)
+        assert not s_y.plan.real
+        assert matvec(s_y, rng.standard_normal(8)).dtype == np.complex128
+        h = spec_to_kronsum(chain_spec(3))
+        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        assert matvec(h, x).dtype == np.complex128
 
 
 class TestConservedKronsums:
@@ -338,10 +384,43 @@ class TestLanczos:
 
     def test_deterministic_for_fixed_seed(self):
         op = spec_to_kronsum(chain_spec(5))
+        assert op.plan.real
         s1 = lanczos_extremal(op, which="lowest", k=2, seed=42)
         s2 = lanczos_extremal(op, which="lowest", k=2, seed=42)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+        assert s1.eigenvectors.dtype == np.complex128
+        assert s1.eigenvectors.flags.c_contiguous
+
+    def test_ring_singlet_and_triplet(self):
+        # zero-field 8-site Heisenberg ring: a singlet ground state below a
+        # threefold triplet; the real-arithmetic chain must find all four
+        spec = HamiltonianSpec(8, 0.0, tuple(CouplingEdge(k, k % 8 + 1, 1.0) for k in range(1, 9)))
+        op = spec_to_kronsum(spec)
+        assert op.plan.real
+        s = lanczos_extremal(op, which="lowest", k=4, seed=5)
+        want = eigh(build_general(spec), want_vectors=False).eigenvalues[:4]
+        assert np.max(np.abs(s.eigenvalues - want)) < 1e-8
+        assert want[1] - want[0] > 1.0
+        assert np.ptp(s.eigenvalues[1:]) < 1e-8
+        s_sq = total_spin_squared_kronsum(8)
+        spins = [np.vdot(v, matvec(s_sq, v)).real for v in s.eigenvectors.T]
+        assert np.allclose(spins, [0.0, 2.0, 2.0, 2.0], atol=1e-7)
+
+    def test_complex_plan_total_sy(self):
+        op = total_component_kronsum("y", 6)
+        assert not op.plan.real
+        s = lanczos_extremal(op, which="lowest", k=1)
+        assert s.eigenvalues[0] == pytest.approx(-3.0, abs=1e-8)
+
+    def test_complex_plan_with_three_site_terms_matches_dense(self):
+        op = hermitian_kronsum(np.random.default_rng(31), 5)
+        assert not op.plan.real
+        assert op.plan.fallback
+        want = eigh(to_dense(op), want_vectors=False).eigenvalues[:3]
+        s = lanczos_extremal(op, which="lowest", k=3, seed=7)
+        assert np.max(np.abs(s.eigenvalues - want)) < 1e-8
+        assert s.eigenvectors.dtype == np.complex128
 
     def test_degenerate_operator_identity_like(self):
         op = KronSum(4, (KronTerm(2.0, tuple([None] * 4)),))
