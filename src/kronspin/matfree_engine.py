@@ -430,17 +430,13 @@ def _lanczos_core(op: KronSum, which: str, k: int, tol: float, max_iter: int,
             return rng.standard_normal(dim)
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
-    def coefficients(rows, vec):
-        if real:
-            return rows @ vec
-        # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the rows
-        return np.conj(rows @ vec.conj())
-
     def project(vec, m):
+        # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the
+        # rows; on float64 arrays both conj calls are the identity
         if n_locked:
-            vec -= locked.T @ coefficients(locked, vec)
+            vec -= locked.T @ np.conj(locked @ vec.conj())
         if m:
-            vec -= basis[:m].T @ coefficients(basis[:m], vec)
+            vec -= basis[:m].T @ np.conj(basis[:m] @ vec.conj())
 
     def orthonormalize(vec, m):
         """Project ``vec`` (a fresh array, updated in place) off the locked
