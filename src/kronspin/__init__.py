@@ -70,6 +70,7 @@ from .hamiltonian_builder import (
 from .matfree_engine import (
     KronSum,
     KronTerm,
+    commutator_norm,
     lanczos_extremal,
     matvec,
     spec_to_kronsum,
@@ -110,6 +111,7 @@ __all__ = [
     "commutation_matrix",
     "commutation_permutation",
     "commutator",
+    "commutator_norm",
     "conj_transpose",
     "conserved_residual",
     "eigh",

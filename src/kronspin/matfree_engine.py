@@ -23,6 +23,15 @@ anisotropy), S_z, S_x and S^2 compile that way.  ``matvec`` of a real plan
 on a float64 state stays float64 end to end, at half the memory traffic of
 complex128; every other combination computes in complex128.
 
+A plan without fallback terms is a sum of masked bit flips, its flip form
+(``KronSum.flip_form``): ``(op x)[s] = sum_m c_m[s] x[s ^ m]``, where mask
+0 carries the diagonal and each move adds its weight to c_m on its
+destination slab, m being the state bits in which its out and in bits
+differ (Sandvik, arXiv:1101.3281 sec. 4).  A product of two such operators
+is again one, with the masks XORed, so ``commutator_norm`` gives the exact
+Frobenius norm of ab - ba in O(#masks_a #masks_b 2^n) work and one
+length-2^n row per distinct product mask, never a 2^n x 2^n matrix.
+
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, with full
 reorthogonalization against the stored basis (no ghost eigenvalues at desk
 scale) and a seeded start vector for reproducibility.  For a real plan the
@@ -119,6 +128,13 @@ class KronSum:
         """The compiled form ``matvec`` applies, built on first use and kept
         with the operator (its terms and factors are immutable)."""
         return _compile(self)
+
+    @cached_property
+    def flip_form(self) -> FlipForm:
+        """The plan as masked bit flips, which ``commutator_norm`` reads;
+        built on first use and kept with the operator like ``plan``.  Raises
+        ContractError when a term has three or more active sites."""
+        return _flip_form(self)
 
 
 @dataclass(frozen=True)
@@ -243,6 +259,59 @@ def _compile(op: KronSum) -> MatvecPlan:
     return MatvecPlan(diagonal, tuple(moves), tuple(fallback), real)
 
 
+@dataclass(frozen=True)
+class FlipForm:
+    """A plan without fallback terms as a sum of masked bit flips:
+    ``(op @ x)[s] = sum_k coefficients[k, s] * x[s ^ masks[k]]``.
+
+    ``masks`` holds distinct int64 flip masks, ``masks[0] == 0`` carrying
+    the diagonal; row k of ``coefficients`` sums the weights of every move
+    whose out and in bits differ exactly in ``masks[k]``, each on its
+    destination slab.  The rows are float64 for a real plan, else
+    complex128.  Each (mask, s) pair is one matrix entry, so the squared
+    Frobenius norm of the operator is the sum of the squared rows.
+    """
+
+    masks: np.ndarray
+    coefficients: np.ndarray
+
+
+def _move_mask(shape, dst, src) -> int:
+    """State bits a move flips.  Its slot axes have length 2, and the
+    element stride of a slot axis is the state bit that slot addresses."""
+    mask = 0
+    stride = 1
+    for size, out_bit, in_bit in zip(reversed(shape), reversed(dst), reversed(src)):
+        if out_bit != in_bit:
+            mask |= stride
+        stride *= size
+    return mask
+
+
+def _flip_form(op: KronSum) -> FlipForm:
+    plan = op.plan
+    if plan.fallback:
+        raise ContractError(
+            f"the flip form needs terms on at most two sites; {len(plan.fallback)} "
+            "term(s) act on three or more"
+        )
+    row_of = {0: 0}  # flip mask -> row, in order of first appearance
+    move_rows = []
+    for shape, dst, src, _ in plan.moves:
+        mask = _move_mask(shape, dst, src)
+        move_rows.append(row_of.setdefault(mask, len(row_of)))
+    coefficients = np.zeros((len(row_of), op.dimension),
+                            dtype=np.float64 if plan.real else np.complex128)
+    coefficients[0] = plan.diagonal
+    for (shape, dst, _, weight), row in zip(plan.moves, move_rows):
+        part = coefficients[row].reshape(shape)[dst]
+        part += weight
+    masks = np.array(list(row_of), dtype=np.int64)
+    masks.setflags(write=False)
+    coefficients.setflags(write=False)
+    return FlipForm(masks, coefficients)
+
+
 def _apply_site(src, f, slot: int, n: int, out) -> None:
     """out = (I x ... x f x ... x I) src with f at 0-based slot; site k + 1
     is bit n - k - 1, i.e. axis `slot` of the (2, ..., 2) amplitude cube."""
@@ -326,6 +395,45 @@ def to_dense(op: KronSum) -> np.ndarray:
         dim = op.dimension
         out = np.zeros((dim, dim), dtype=np.complex128)
     return out
+
+
+def commutator_norm(a: KronSum, b: KronSum) -> float:
+    """Exact Frobenius norm of ab - ba, read from the flip forms without
+    any 2^n x 2^n matrix.
+
+    With a = sum_alpha c_alpha[s] x[s ^ alpha] and b = sum_beta
+    d_beta[s] x[s ^ beta], the commutator has flip mask alpha ^ beta with
+    coefficient c_alpha[s] d_beta[s ^ alpha] - d_beta[s] c_alpha[s ^ beta],
+    summed over the pairs sharing that mask; its squared norm is the sum
+    over masks of the squared coefficient rows.  Work is
+    O(#masks_a #masks_b 2^n), memory one length-2^n row per distinct product
+    mask.  A real and a complex operand compute in complex128.  Raises
+    ContractError when the site counts differ or a term of either operand
+    acts on three or more sites.
+    """
+    if a.n_sites != b.n_sites:
+        raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
+    outer, inner = a.flip_form, b.flip_form
+    # ||[a, b]|| = ||[b, a]||: loop over the operand with fewer masks and
+    # vectorize over the other
+    if inner.masks.size > outer.masks.size:
+        outer, inner = inner, outer
+    states = np.arange(a.dimension)
+    products = np.bitwise_xor.outer(outer.masks, inner.masks)
+    distinct, row_of = np.unique(products, return_inverse=True)
+    row_of = row_of.reshape(products.shape)
+    acc = np.zeros((distinct.size, a.dimension),
+                   dtype=np.result_type(outer.coefficients, inner.coefficients))
+    shifted = states ^ outer.masks[:, None]  # row k: s ^ outer.masks[k]
+    c = outer.coefficients
+    for j, beta in enumerate(inner.masks):
+        d = inner.coefficients[j]
+        term = c * d[shifted]
+        term -= d * c[:, states ^ beta]
+        # the masks alpha ^ beta are distinct for one beta, so no row of acc
+        # is named twice
+        acc[row_of[:, j]] += term
+    return float(np.linalg.norm(acc))
 
 
 def _single_site_term(coefficient, f, site: int, n: int) -> KronTerm:

@@ -12,16 +12,23 @@ from kronspin.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     run,
 )
 from kronspin.hamiltonian_builder import (
     CouplingEdge,
     HamiltonianSpec,
+    build_general,
     save_spec,
 )
 from kronspin.kron_core import kron
 from kronspin.matrix_io import load_matrix, save_matrix
-from kronspin.spin_algebra import pauli
+from kronspin.spin_algebra import (
+    conserved_residual,
+    pauli,
+    total_component,
+    total_spin_squared,
+)
 
 SCHEMA_PATH = "docs/run_report.schema.json"
 
@@ -268,6 +275,41 @@ class TestConserved:
         assert not rows["[H, S^2] commutator residual"]["passed"]
         assert rows["[S_z, S^2] commutator residual"]["passed"]
 
+    @pytest.mark.parametrize("n, z_scale", [(1, 1.0), (3, 2.0), (5, -0.7), (7, 1.0),
+                                            (8, 2.0), (9, -0.7), (10, 2.0)])
+    def test_dense_rows_match_the_matmul_route(self, tmp_path, capsys, report_schema, n, z_scale):
+        rng = np.random.default_rng(700 + n)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = tuple(CouplingEdge(i, j, float(rng.uniform(-2, 2)))
+                      for i, j in pairs if rng.uniform() < 0.6)
+        spec = HamiltonianSpec(n, float(rng.uniform(-2, 2)), edges)
+        path = write_spec(tmp_path, spec)
+        run(["conserved", path, "--json", "--debug-anisotropy", repr(z_scale)])
+        report = check_report(capsys.readouterr().out, report_schema)
+        h = build_general(spec, z_scale)
+        s_z = total_component("z", n)
+        s_sq = total_spin_squared(n)
+        for row, (a, b) in zip(report["results"], ((h, s_z), (h, s_sq), (s_z, s_sq))):
+            assert row["method"] == "dense"
+            scale = np.linalg.norm(a) * np.linalg.norm(b)
+            assert abs(row["residual"] - conserved_residual(a, b)) <= 1e-12 * scale
+
+    def test_twelve_site_complete_graph_stays_exact(self, tmp_path, capsys, report_schema):
+        # unequal J: with one J on every edge of a complete graph the z-z part
+        # is a function of S_z alone, so anisotropy would keep [H, S^2] = 0
+        rng = np.random.default_rng(12)
+        edges = tuple(CouplingEdge(i, j, float(rng.uniform(0.5, 1.5)))
+                      for i in range(1, 13) for j in range(i + 1, 13))
+        spec = write_spec(tmp_path, HamiltonianSpec(12, 1.0, edges))
+        assert run(["conserved", spec, "--json"]) == EXIT_OK
+        report = check_report(capsys.readouterr().out, report_schema)
+        assert all(row["method"] == "dense" and row["passed"] for row in report["results"])
+        assert run(["conserved", spec, "--json", "--debug-anisotropy", "2.0"]) == EXIT_CHECK_FAILED
+        report = check_report(capsys.readouterr().out, report_schema)
+        assert all(row["method"] == "dense" for row in report["results"])
+        failed = [r["name"] for r in report["results"] if not r["passed"]]
+        assert failed == ["[H, S^2] commutator residual"]
+
     def test_probe_method_above_dense_cap(self, tmp_path, capsys, report_schema):
         spec = write_spec(
             tmp_path,
@@ -372,6 +414,38 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             run(["frobnicate"])
         assert err.value.code == EXIT_USAGE
+
+    def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            HamiltonianSpec(3, 1.0, (CouplingEdge(1, 2, 1.0), CouplingEdge(2, 3, 1.0))),
+        )
+        sequence = [
+            ["spectrum", spec, "--k", "2", "--which", "highest"],
+            ["spectrum", spec],
+            ["conserved", spec, "--debug-anisotropy", "2.0"],
+            ["spectrum"],  # usage error: no spec
+            ["conserved", spec],
+            ["spectrum", spec, "--engine", "lanczos", "--k", "1"],
+            ["spectrum", spec, "--k", "3"],
+        ]
+
+        def fresh(argv):
+            args = build_parser().parse_args(argv)
+            return args.handler(args)
+
+        def outcome(call, argv):
+            try:
+                code = call(argv)
+            except SystemExit as stop:
+                code = stop.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [outcome(run, argv) for argv in sequence]
+        assert reused == [outcome(fresh, argv) for argv in sequence]
+        assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_OK, EXIT_CHECK_FAILED,
+                                                   EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
 
     def test_spectrum_json_flag_aliases_format(self, tmp_path, capsys, report_schema):
         spec = h2_spec(tmp_path)

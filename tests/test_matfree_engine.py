@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from kronspin.matfree_engine import (
     KronSum,
     KronTerm,
     _two_site_term,
+    commutator_norm,
     lanczos_extremal,
     matvec,
     spec_to_kronsum,
@@ -30,7 +32,12 @@ from kronspin.matfree_engine import (
     total_component_kronsum,
     total_spin_squared_kronsum,
 )
-from kronspin.spin_algebra import pauli, total_component, total_spin_squared
+from kronspin.spin_algebra import (
+    conserved_residual,
+    pauli,
+    total_component,
+    total_spin_squared,
+)
 
 
 def chain_spec(n: int, mu_b0: float = 1.0, j: float = 1.0) -> HamiltonianSpec:
@@ -306,6 +313,60 @@ class TestRealPlan:
         h = spec_to_kronsum(chain_spec(3))
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert matvec(h, x).dtype == np.complex128
+
+
+def two_site_kronsum(rng, n: int) -> KronSum:
+    """mixed_kronsum without its terms on three sites."""
+    op = mixed_kronsum(rng, n)
+    return KronSum(n, tuple(t for t in op.terms if len(t.active_slots) <= 2))
+
+
+class TestCommutatorNorm:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_commutator(self, rng, n):
+        ops = [
+            two_site_kronsum(rng, n),
+            two_site_kronsum(rng, n),
+            spec_to_kronsum(random_spec(rng, n), 2.0),
+            total_spin_squared_kronsum(n),
+            total_component_kronsum("y", n),
+        ]
+        dense = [to_dense(op) for op in ops]
+        for (a, da), (b, db) in itertools.permutations(zip(ops, dense), 2):
+            want = conserved_residual(da, db)
+            scale = np.linalg.norm(da) * np.linalg.norm(db)
+            assert abs(commutator_norm(a, b) - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_flip_form_reproduces_matvec(self, rng, n):
+        states = np.arange(1 << n)
+        for op in (two_site_kronsum(rng, n), spec_to_kronsum(random_spec(rng, n))):
+            form = op.flip_form
+            assert form is op.flip_form
+            assert form.masks[0] == 0
+            assert len(set(form.masks.tolist())) == form.masks.size
+            assert form.coefficients.dtype == (np.float64 if op.plan.real else np.complex128)
+            x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            y = sum(row * x[states ^ mask] for mask, row in zip(form.masks, form.coefficients))
+            assert np.max(np.abs(y - matvec(op, x))) < 1e-12 * max(1.0, np.max(np.abs(y)))
+
+    def test_exchange_edge_is_one_flip_mask(self):
+        # both flip-flop moves of edge (1, 3) flip bits 2 and 0
+        op = spec_to_kronsum(HamiltonianSpec(3, 0.4, (CouplingEdge(1, 3, -0.75),)))
+        assert op.flip_form.masks.tolist() == [0, 0b101]
+        assert op.flip_form.coefficients[1].tolist() == [0, -1.5, 0, -1.5, -1.5, 0, -1.5, 0]
+
+    def test_three_site_term_is_contract_error(self, rng):
+        op = mixed_kronsum(rng, 3)
+        s_sq = total_spin_squared_kronsum(3)
+        with pytest.raises(ContractError, match="three or more"):
+            commutator_norm(op, s_sq)
+        with pytest.raises(ContractError, match="three or more"):
+            commutator_norm(s_sq, op)
+
+    def test_site_count_mismatch_is_contract_error(self):
+        with pytest.raises(ContractError):
+            commutator_norm(total_spin_squared_kronsum(3), total_spin_squared_kronsum(4))
 
 
 class TestConservedKronsums:
