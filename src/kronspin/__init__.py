@@ -5,9 +5,10 @@ checks, the perfect-shuffle similarity), ``dense_linalg`` (dense matrix
 algebra and a Hermitian eigensolver on LAPACK via numpy), ``spin_algebra``
 (Pauli operators lifted to n-site registers), ``hamiltonian_builder``
 (Zeeman + isotropic exchange Hamiltonians from declarative specs),
-``matfree_engine`` (the same operators applied term by term to 2^n state
-vectors, plus a Lanczos extremal eigensolver), ``matrix_io`` (text matrix
-round-tripping) and ``cli`` (batch front end).
+``matfree_engine`` (the same operators, S_axis and S^2 compiled once into a
+diagonal plus strided moves for 2^n state vectors, the dense spin totals
+scattered from that form, and a Lanczos extremal eigensolver),
+``matrix_io`` (text matrix round-tripping) and ``cli`` (batch front end).
 """
 
 from .errors import (
@@ -51,8 +52,6 @@ from .spin_algebra import (
     conserved_residual,
     lift,
     pauli,
-    total_component,
-    total_spin_squared,
 )
 from .hamiltonian_builder import (
     CouplingEdge,
@@ -75,7 +74,9 @@ from .matfree_engine import (
     matvec,
     spec_to_kronsum,
     to_dense,
+    total_component,
     total_component_kronsum,
+    total_spin_squared,
     total_spin_squared_kronsum,
 )
 from .matrix_io import format_matrix, load_matrix, parse_matrix, save_matrix

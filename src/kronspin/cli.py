@@ -53,13 +53,13 @@ from .matfree_engine import (
     spec_to_kronsum,
     to_dense,  # noqa: F401  kept importable: benchmark/tracing.py wraps cli.to_dense
     total_component_kronsum,
+    total_spin_squared,  # noqa: F401  kept importable: benchmark/tracing.py wraps it
     total_spin_squared_kronsum,
 )
 from .matrix_io import format_matrix, load_matrix, save_matrix
 from .spin_algebra import (
     DENSE_SITE_CAP,
     conserved_residual,  # noqa: F401  kept importable: benchmark/tracing.py wraps it
-    total_spin_squared,  # noqa: F401  kept importable: benchmark/tracing.py wraps it
 )
 
 EXIT_OK = 0
@@ -73,6 +73,10 @@ EXIT_NO_CONVERGENCE = 5
 # vectors land many orders below this for isotropic specs.
 CONSERVED_TOL = 1e-8
 PROBE_COUNT = 3
+
+# numpy raises ValueError, not MemoryError, for an array over intp-max bytes;
+# past this size a complex128 state is refused before anything is allocated
+MAX_STATE_SITES = (np.iinfo(np.intp).max // 16).bit_length() - 1
 
 
 def _fail(message: str, code: int) -> int:
@@ -296,6 +300,8 @@ def cmd_spectrum(
             values = values[:take] if which == "lowest" else values[-take:]
         note = f"all {spectrum.dimension} eigenvalues" if k is None else f"{values.shape[0]} {which} of {spectrum.dimension}"
     else:
+        if spec.n_sites > MAX_STATE_SITES:
+            return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
         op = spec_to_kronsum(spec)
         want = 1 if k is None else k
         try:
@@ -348,6 +354,8 @@ def cmd_conserved(
     if spec is None:
         return _fail(err, EXIT_USAGE)
     n = spec.n_sites
+    if n > MAX_STATE_SITES:
+        return _fail(_state_alloc_message(n), EXIT_CAPACITY)
     scale_note = "" if z_scale == 1.0 else f"; z couplings scaled by {z_scale:g} (anisotropy injection)"
 
     h = spec_to_kronsum(spec, z_scale)
@@ -447,6 +455,8 @@ def cmd_bench(
         return _fail(f"site counts must be >= 2, got {sizes}", EXIT_USAGE)
     if repeats < 1:
         return _fail(f"--repeats must be >= 1, got {repeats}", EXIT_USAGE)
+    if max(sizes) > MAX_STATE_SITES:
+        return _fail(_state_alloc_message(max(sizes)), EXIT_CAPACITY)
 
     rng = np.random.default_rng(seed)
     rows = []

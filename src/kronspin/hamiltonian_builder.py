@@ -38,7 +38,7 @@ import numpy as np
 from ._common import DEFAULT_TOL, frobenius
 from .errors import ContractError, SiteRangeError
 from .kron_core import ResidualReport, kron
-from .spin_algebra import AXES, _check_capacity, _site_bits, pauli
+from .spin_algebra import AXES, _check_capacity, pauli
 # kept importable here: benchmark/tracing.py wraps hamiltonian_builder.lift
 from .spin_algebra import lift  # noqa: F401
 
@@ -56,7 +56,8 @@ class CouplingEdge:
     strength: float
 
     def __post_init__(self):
-        if not (isinstance(self.i, int) and isinstance(self.j, int)):
+        if not all(isinstance(site, int) and not isinstance(site, bool)
+                   for site in (self.i, self.j)):
             raise ContractError(f"edge sites must be integers, got ({self.i!r}, {self.j!r})")
         if self.i < 1 or self.j < 1:
             raise SiteRangeError(f"edge sites must be >= 1, got ({self.i}, {self.j})")
@@ -80,7 +81,8 @@ class HamiltonianSpec:
     couplings: tuple[CouplingEdge, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, int) or self.n_sites < 1:
+        if (not isinstance(self.n_sites, int) or isinstance(self.n_sites, bool)
+                or self.n_sites < 1):
             raise ContractError(f"n_sites must be a positive integer, got {self.n_sites!r}")
         object.__setattr__(self, "mu_b0", float(self.mu_b0))
         if not math.isfinite(self.mu_b0):
@@ -121,7 +123,8 @@ def build_general(spec: HamiltonianSpec, z_scale: float = 1.0) -> np.ndarray:
     n = spec.n_sites
     _check_capacity(n, "dense Hamiltonian")
     dim = 1 << n
-    bits = _site_bits(n)
+    # row k - 1 holds site k's bit (bit n - k) of every state index
+    bits = (np.arange(dim)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
     diag = np.zeros(dim)
     for site_bits in bits:
         diag += (-spec.mu_b0) * (1 - 2 * site_bits)
@@ -232,6 +235,12 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
     }
 
 
+def _json_number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContractError(f"{what} must be a JSON number, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> HamiltonianSpec:
     if not isinstance(data, dict):
         raise ContractError(f"spec must be a JSON object, got {type(data).__name__}")
@@ -239,15 +248,19 @@ def spec_from_dict(data: dict) -> HamiltonianSpec:
     if unknown:
         raise ContractError(f"unknown spec keys: {sorted(unknown)}")
     try:
-        n_sites = data["n_sites"]
-        mu_b0 = data["mu_b0"]
+        n_sites = _json_number(data["n_sites"], "n_sites")
+        mu_b0 = _json_number(data["mu_b0"], "mu_b0")
     except KeyError as missing:
         raise ContractError(f"spec is missing key {missing.args[0]!r}") from None
+    couplings = data.get("couplings", [])
+    if not isinstance(couplings, list):
+        raise ContractError(f"couplings must be a list, got {couplings!r}")
     edges = []
-    for entry in data.get("couplings", []):
+    for entry in couplings:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "J"}:
             raise ContractError(f"coupling entries need keys i, j, J; got {entry!r}")
-        edges.append(CouplingEdge(entry["i"], entry["j"], entry["J"]))
+        edges.append(CouplingEdge(*(_json_number(entry[key], f"coupling {key}")
+                                    for key in ("i", "j", "J"))))
     return HamiltonianSpec(n_sites, mu_b0, tuple(edges))
 
 

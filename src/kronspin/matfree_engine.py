@@ -3,14 +3,14 @@
 An operator is a sum of scalar-weighted terms, each term a chain of per-site
 2 x 2 factors (None meaning identity).  Site 1 is the leftmost Kronecker
 factor and therefore the most significant bit of the state index: site k of
-n addresses bit n - k.  The 2^n x 2^n matrix is never materialized.
+n addresses bit n - k.  A matvec never materializes the 2^n x 2^n matrix.
 
 On first use a KronSum is compiled into a ``MatvecPlan`` kept on the
-operator: the diagonal of every term with at most two active sites summed
-into one length-2^n vector, the off-diagonal entries of those terms' local
-2 x 2 and 4 x 4 matrices summed per site set into weighted moves, and the
-terms with three or more active sites kept as they are.  A matvec is then
-one diagonal multiply, one strided update over 2^n / 2 (one site) or
+operator: the local 2 x 2 and 4 x 4 matrices of the terms with at most two
+active sites are summed per site set, each set's diagonal is added to one
+length-2^n vector and its off-diagonal entries become weighted moves, and
+the terms with three or more active sites are kept as they are.  A matvec
+is then one diagonal multiply, one strided update over 2^n / 2 (one site) or
 2^n / 4 (two sites) amplitudes per move, and one pass per active site for
 each remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
 O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per coupling
@@ -31,6 +31,10 @@ differ (Sandvik, arXiv:1101.3281 sec. 4).  A product of two such operators
 is again one, with the masks XORed, so ``commutator_norm`` gives the exact
 Frobenius norm of ab - ba in O(#masks_a #masks_b 2^n) work and one
 length-2^n row per distinct product mask, never a 2^n x 2^n matrix.
+
+S_axis and S^2 are built once, as KronSums; the dense ``total_component``
+and ``total_spin_squared`` write their flip forms into a 2^n x 2^n matrix,
+``dense[s, s ^ m] = c_m[s]``, equal to the lifted forms bitwise.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, with full
 reorthogonalization against the stored basis (no ghost eigenvalues at desk
@@ -60,11 +64,11 @@ from functools import cached_property
 import numpy as np
 
 from ._common import as_matrix
-from .errors import CapacityError, ContractError, ConvergenceError, ShapeError
+from .errors import CapacityError, ContractError, ConvergenceError, ShapeError, SiteRangeError
 from .hamiltonian_builder import HamiltonianSpec
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
-from .spin_algebra import AXES, DENSE_SITE_CAP, pauli
+from .spin_algebra import AXES, DENSE_SITE_CAP, _check_capacity, pauli
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,11 @@ class MatvecPlan:
 
     ``diagonal`` is the summed diagonal of every term with at most two
     active sites (float64 when its imaginary part is exactly zero).  Each
-    move ``(shape, dst, src, weight)`` adds ``weight * x_view[src]`` to
-    ``y_view[dst]``, where ``*_view`` is the state reshaped to ``shape``
+    move ``(shape, dst, src, weight, mask)`` adds ``weight * x_view[src]``
+    to ``y_view[dst]``, where ``*_view`` is the state reshaped to ``shape``
     with one length-2 axis per site of the move; ``weight`` is a float when
-    its imaginary part is exactly zero, else a complex.  ``fallback`` holds
+    its imaginary part is exactly zero, else a complex, and ``mask`` holds
+    the state bits in which ``dst`` and ``src`` differ.  ``fallback`` holds
     the terms with three or more active sites, applied site by site.
     ``real`` is true when the diagonal is float64, every weight a float and
     ``fallback`` empty, i.e. the operator maps real states to real states.
@@ -163,7 +168,7 @@ class MatvecPlan:
         move's slab, and per fallback term one pass per active site plus the
         coefficient pass."""
         dim = self.diagonal.size
-        slabs = sum(dim >> (len(shape) // 2) for shape, _, _, _ in self.moves)
+        slabs = sum(dim >> (len(shape) // 2) for shape, *_ in self.moves)
         passes = sum(len(t.active_slots) + 1 for t in self.fallback)
         return dim + slabs + dim * passes
 
@@ -204,14 +209,12 @@ def _local_matrix(term: KronTerm) -> np.ndarray:
 
 
 def _compile(op: KronSum) -> MatvecPlan:
-    """Diagonals are summed term by term and local matrices per site set,
-    both in term order, so each entry is the sum the site passes formed."""
+    """Local matrices are summed per site set in term order; each set, in
+    order of first appearance, then adds its diagonal to the plan diagonal in
+    one broadcast pass and emits its off-diagonal entries as moves with their
+    flip masks.  Where no two site sets interleave in term order (spec
+    Hamiltonians, S_axis, S^2), each entry is the sum the site passes form."""
     n = op.n_sites
-    dim = op.dimension
-    # real and imaginary parts add apart, exactly as complex addition does;
-    # the imaginary part is allocated only once some term has one
-    real = np.zeros(dim)
-    imag = None
     locals_by_slots: dict[tuple, np.ndarray] = {}
     fallback = []
     for term in op.terms:
@@ -220,40 +223,43 @@ def _compile(op: KronSum) -> MatvecPlan:
             fallback.append(term)
             continue
         local = _local_matrix(term)
+        held = locals_by_slots.get(slots)
+        locals_by_slots[slots] = local if held is None else held + local
+
+    # real and imaginary parts add apart, exactly as complex addition does;
+    # the imaginary part is allocated only once some site set has one
+    real = np.zeros(op.dimension)
+    imag = None
+    moves = []
+    for slots, local in locals_by_slots.items():
+        k = len(slots)
         shape = _slab_shape(slots, n)
-        for bits in itertools.product((0, 1), repeat=len(slots)):
-            value = local[bits + bits]
-            index = _slab_index(bits)
-            if value.real != 0:
-                part = real.reshape(shape)[index]
-                part += value.real
-            if value.imag != 0:
-                if imag is None:
-                    imag = np.zeros(dim)
-                part = imag.reshape(shape)[index]
-                part += value.imag
-        if slots:
-            held = locals_by_slots.get(slots)
-            locals_by_slots[slots] = local if held is None else held + local
+        # the local diagonal, broadcast over the slab axes between the slots
+        on_slab = np.diagonal(local.reshape(1 << k, 1 << k)).reshape([1, 2] * k + [1])
+        part = real.reshape(shape)
+        part += on_slab.real
+        if on_slab.imag.any():
+            if imag is None:
+                imag = np.zeros(op.dimension)
+            part = imag.reshape(shape)
+            part += on_slab.imag
+        states = list(itertools.product((0, 1), repeat=k))
+        for out_bits, in_bits in itertools.product(states, repeat=2):
+            weight = complex(local[out_bits + in_bits])
+            if out_bits == in_bits or weight == 0:
+                continue
+            if weight.imag == 0:
+                weight = weight.real
+            mask = sum(1 << (n - 1 - slot)
+                       for slot, out_bit, in_bit in zip(slots, out_bits, in_bits)
+                       if out_bit != in_bit)
+            moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight, mask))
 
     if imag is None or not imag.any():
         diagonal = real
     else:
         diagonal = real + 1j * imag
     diagonal.setflags(write=False)
-
-    moves = []
-    for slots, local in locals_by_slots.items():
-        shape = _slab_shape(slots, n)
-        states = list(itertools.product((0, 1), repeat=len(slots)))
-        for out_bits in states:
-            for in_bits in states:
-                weight = complex(local[out_bits + in_bits])
-                if out_bits == in_bits or weight == 0:
-                    continue
-                if weight.imag == 0:
-                    weight = weight.real
-                moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight))
     real = (diagonal.dtype == np.float64 and not fallback
             and all(isinstance(move[3], float) for move in moves))
     return MatvecPlan(diagonal, tuple(moves), tuple(fallback), real)
@@ -276,18 +282,6 @@ class FlipForm:
     coefficients: np.ndarray
 
 
-def _move_mask(shape, dst, src) -> int:
-    """State bits a move flips.  Its slot axes have length 2, and the
-    element stride of a slot axis is the state bit that slot addresses."""
-    mask = 0
-    stride = 1
-    for size, out_bit, in_bit in zip(reversed(shape), reversed(dst), reversed(src)):
-        if out_bit != in_bit:
-            mask |= stride
-        stride *= size
-    return mask
-
-
 def _flip_form(op: KronSum) -> FlipForm:
     plan = op.plan
     if plan.fallback:
@@ -296,15 +290,13 @@ def _flip_form(op: KronSum) -> FlipForm:
             "term(s) act on three or more"
         )
     row_of = {0: 0}  # flip mask -> row, in order of first appearance
-    move_rows = []
-    for shape, dst, src, _ in plan.moves:
-        mask = _move_mask(shape, dst, src)
-        move_rows.append(row_of.setdefault(mask, len(row_of)))
+    for move in plan.moves:
+        row_of.setdefault(move[4], len(row_of))
     coefficients = np.zeros((len(row_of), op.dimension),
                             dtype=np.float64 if plan.real else np.complex128)
     coefficients[0] = plan.diagonal
-    for (shape, dst, _, weight), row in zip(plan.moves, move_rows):
-        part = coefficients[row].reshape(shape)[dst]
+    for shape, dst, _, weight, mask in plan.moves:
+        part = coefficients[row_of[mask]].reshape(shape)[dst]
         part += weight
     masks = np.array(list(row_of), dtype=np.int64)
     masks.setflags(write=False)
@@ -356,7 +348,7 @@ def matvec(op: KronSum, x) -> np.ndarray:
     if x.shape != (dim,):
         raise ShapeError(f"state length {x.shape} does not match dimension {dim}")
     y = plan.diagonal * x
-    for shape, dst, src, weight in plan.moves:
+    for shape, dst, src, weight, _ in plan.moves:
         out = y.reshape(shape)[dst]
         out += weight * x.reshape(shape)[src]
     if plan.fallback:
@@ -490,6 +482,39 @@ def total_spin_squared_kronsum(n: int) -> KronSum:
                 sigma = pauli(axis)
                 terms.append(_two_site_term(0.5, sigma, i, sigma, j, n))
     return KronSum(n, tuple(terms))
+
+
+def _scatter_dense(op: KronSum) -> np.ndarray:
+    """The operator as a complex128 2^n x 2^n matrix, written from its flip
+    form: entry (s, s ^ m) is c_m[s].  The masks are distinct, so every
+    entry is written once and equals the plan's sum bitwise."""
+    form = op.flip_form
+    states = np.arange(op.dimension)
+    dense = np.zeros((op.dimension, op.dimension), dtype=np.complex128)
+    for mask, row in zip(form.masks, form.coefficients):
+        dense[states, states ^ mask] = row
+    return dense
+
+
+def total_component(axis: str, n: int) -> np.ndarray:
+    """Dense total spin component S_axis = (1/2) * sum over sites of the
+    lifted Pauli matrix; the 1/2 is the spin-1/2 prefactor with hbar = 1.
+    Scattered from ``total_component_kronsum``."""
+    pauli(axis)  # an unknown axis is a ValueError before any site check
+    if n < 1:
+        raise SiteRangeError(f"site count must be >= 1, got {n}")
+    _check_capacity(n, "dense total component")
+    return _scatter_dense(total_component_kronsum(axis, n))
+
+
+def total_spin_squared(n: int) -> np.ndarray:
+    """Dense S^2 = S_x^2 + S_y^2 + S_z^2 = n(4 - n)/4 I + sum_{i<j} SWAP_ij;
+    eigenvalues s(s+1) with s in {n/2, n/2 - 1, ..., (n mod 2)/2}.
+    Scattered from ``total_spin_squared_kronsum``."""
+    if n < 1:
+        raise SiteRangeError(f"site count must be >= 1, got {n}")
+    _check_capacity(n, "dense total spin squared")
+    return _scatter_dense(total_spin_squared_kronsum(n))
 
 
 def _hermitian_sample_check(op: KronSum, rng, pairs: int = 2, rtol: float = 1e-8) -> None:

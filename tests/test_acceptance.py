@@ -29,12 +29,14 @@ from kronspin.kron_core import (
     noncommutativity_witness,
     shuffle_conjugate,
 )
-from kronspin.matfree_engine import lanczos_extremal, matvec, spec_to_kronsum
-from kronspin.spin_algebra import (
-    conserved_residual,
+from kronspin.matfree_engine import (
+    lanczos_extremal,
+    matvec,
+    spec_to_kronsum,
     total_component,
     total_spin_squared,
 )
+from kronspin.spin_algebra import conserved_residual
 
 from conftest import diagonally_dominant
 

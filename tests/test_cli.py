@@ -4,6 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from kronspin import cli
 from kronspin.cli import (
     CONSERVED_TOL,
     EXIT_CAPACITY,
@@ -12,6 +13,7 @@ from kronspin.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_STATE_SITES,
     build_parser,
     run,
 )
@@ -22,13 +24,9 @@ from kronspin.hamiltonian_builder import (
     save_spec,
 )
 from kronspin.kron_core import kron
+from kronspin.matfree_engine import total_component, total_spin_squared
 from kronspin.matrix_io import load_matrix, save_matrix
-from kronspin.spin_algebra import (
-    conserved_residual,
-    pauli,
-    total_component,
-    total_spin_squared,
-)
+from kronspin.spin_algebra import conserved_residual, pauli
 
 SCHEMA_PATH = "docs/run_report.schema.json"
 
@@ -241,6 +239,14 @@ class TestSpectrum:
         assert run(["spectrum", str(path)]) == EXIT_USAGE
         assert "unknown spec keys" in capsys.readouterr().err
 
+    def test_null_coupling_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text('{"n_sites": 2, "mu_b0": 1.0, "couplings": [{"i": 1, "j": 2, "J": null}]}')
+        assert run(["spectrum", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "coupling J must be a JSON number" in err
+        assert "Traceback" not in err
+
     def test_nonpositive_k(self, tmp_path):
         spec = h2_spec(tmp_path)
         assert run(["spectrum", spec, "--k", "0"]) == EXIT_USAGE
@@ -402,6 +408,37 @@ class TestBench:
 
     def test_rejects_empty_range(self, capsys):
         assert run(["bench", "--n-list", "6..4"]) == EXIT_USAGE
+
+
+class TestUnaddressableRegister:
+    """Past 58 sites a complex128 state has more bytes than numpy can
+    address; such registers are refused before any operator or state is
+    built."""
+
+    @pytest.fixture(autouse=True)
+    def no_operator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator was built for an unaddressable register")
+
+        monkeypatch.setattr(cli, "spec_to_kronsum", refuse)
+
+    @pytest.mark.parametrize("n", [60, 63, 64])
+    @pytest.mark.parametrize("command", ["spectrum", "conserved", "bench"])
+    def test_refused_as_capacity_error(self, tmp_path, capsys, n, command):
+        if command == "bench":
+            argv = ["bench", "--n-list", f"4,{n}"]
+        else:
+            spec = write_spec(tmp_path, HamiltonianSpec(n, 1.0, (CouplingEdge(1, 2, 1.0),)))
+            argv = [command, spec] + (["--engine", "lanczos"] if command == "spectrum" else [])
+        assert run(argv) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert f"state allocation failed at n={n}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_cap_is_the_last_addressable_complex_state(self):
+        assert (1 << MAX_STATE_SITES) * 16 <= np.iinfo(np.intp).max
+        assert (1 << (MAX_STATE_SITES + 1)) * 16 > np.iinfo(np.intp).max
 
 
 class TestParser:

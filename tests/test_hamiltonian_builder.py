@@ -19,8 +19,14 @@ from kronspin.hamiltonian_builder import (
     spec_to_dict,
     verify_h2_decomposition,
 )
-from kronspin.matfree_engine import matvec, spec_to_kronsum, to_dense
-from kronspin.spin_algebra import DENSE_SITE_CAP, conserved_residual, pauli, total_component
+from kronspin.matfree_engine import (
+    _scatter_dense,
+    matvec,
+    spec_to_kronsum,
+    to_dense,
+    total_component,
+)
+from kronspin.spin_algebra import DENSE_SITE_CAP, conserved_residual, pauli
 
 from conftest import unit_floats
 
@@ -75,6 +81,15 @@ class TestEdgesAndSpecs:
     def test_spec_rejects_bad_site_count(self):
         with pytest.raises(ContractError):
             HamiltonianSpec(0, 0.0)
+
+    def test_spec_rejects_bool_site_count(self):
+        with pytest.raises(ContractError, match="n_sites"):
+            HamiltonianSpec(True, 0.0)
+
+    @pytest.mark.parametrize("i, j", [(True, 2), (1, True)])
+    def test_edge_rejects_bool_site(self, i, j):
+        with pytest.raises(ContractError, match="integers"):
+            CouplingEdge(i, j, 1.0)
 
     def test_weight_triple_rejects_nan(self):
         with pytest.raises(ContractError):
@@ -229,6 +244,28 @@ class TestSpecSerialization:
         with pytest.raises(ContractError, match="keys i, j, J"):
             spec_from_dict({"n_sites": 2, "mu_b0": 0.0, "couplings": [{"i": 1, "j": 2}]})
 
+    @pytest.mark.parametrize("data, match", [
+        ({"n_sites": 2, "mu_b0": 1.0, "couplings": None}, "couplings must be a list"),
+        ({"n_sites": 2, "mu_b0": 1.0, "couplings": {"i": 1, "j": 2, "J": 1.0}},
+         "couplings must be a list"),
+        ({"n_sites": 2, "mu_b0": 1.0, "couplings": [{"i": 1, "j": 2, "J": None}]},
+         "coupling J must be a JSON number"),
+        ({"n_sites": 2, "mu_b0": 1.0, "couplings": [{"i": 1, "j": 2, "J": "1.0"}]},
+         "coupling J must be a JSON number"),
+        ({"n_sites": 2, "mu_b0": 1.0, "couplings": [{"i": 1, "j": 2, "J": True}]},
+         "coupling J must be a JSON number"),
+        ({"n_sites": 2, "mu_b0": 1.0, "couplings": [{"i": True, "j": 2, "J": 1.0}]},
+         "coupling i must be a JSON number"),
+        ({"n_sites": 2, "mu_b0": None}, "mu_b0 must be a JSON number"),
+        ({"n_sites": 2, "mu_b0": "1.0"}, "mu_b0 must be a JSON number"),
+        ({"n_sites": 2, "mu_b0": False}, "mu_b0 must be a JSON number"),
+        ({"n_sites": True, "mu_b0": 1.0}, "n_sites must be a JSON number"),
+        ({"n_sites": None, "mu_b0": 1.0}, "n_sites must be a JSON number"),
+    ])
+    def test_malformed_value_rejected(self, data, match):
+        with pytest.raises(ContractError, match=match):
+            spec_from_dict(data)
+
     def test_couplings_key_optional(self):
         spec = spec_from_dict({"n_sites": 2, "mu_b0": 1.0})
         assert spec.couplings == ()
@@ -284,6 +321,15 @@ class TestDirectFill:
                 spec = seeded_spec(rng, n)
                 z_scale = rng.uniform(-2, 2)
                 want = to_dense(spec_to_kronsum(spec, z_scale))
+                assert np.array_equal(build_general(spec, z_scale), want)
+
+    @pytest.mark.parametrize("z_scale", [1.0, 2.0, -0.7, 0.0])
+    def test_build_equals_plan_scatter_bitwise(self, z_scale):
+        rng = np.random.default_rng(4242)
+        for n in range(1, 10):
+            for _ in range(3):
+                spec = seeded_spec(rng, n)
+                want = _scatter_dense(spec_to_kronsum(spec, z_scale))
                 assert np.array_equal(build_general(spec, z_scale), want)
 
     def test_dense_cap_build_equals_matvec_columns(self):

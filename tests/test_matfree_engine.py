@@ -29,15 +29,12 @@ from kronspin.matfree_engine import (
     matvec,
     spec_to_kronsum,
     to_dense,
+    total_component,
     total_component_kronsum,
+    total_spin_squared,
     total_spin_squared_kronsum,
 )
-from kronspin.spin_algebra import (
-    conserved_residual,
-    pauli,
-    total_component,
-    total_spin_squared,
-)
+from kronspin.spin_algebra import conserved_residual, pauli
 
 
 def chain_spec(n: int, mu_b0: float = 1.0, j: float = 1.0) -> HamiltonianSpec:
@@ -252,6 +249,8 @@ class TestCompiledPlan:
         # sigma_x sigma_x + sigma_y sigma_y: 2J at (01 <- 10) and (10 <- 01);
         # the (00 <- 11) and (11 <- 00) entries cancel and are dropped
         assert [m[3] for m in plan.moves] == [-1.5, -1.5]
+        # each flip-flop flips the bits of sites 1 and 3
+        assert [m[4] for m in plan.moves] == [0b101, 0b101]
         assert plan.amplitudes_touched == 8 + 2 * 2
 
     def test_plan_is_built_once_per_operator(self, rng):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kronspin.dense_linalg import eigh
 from kronspin.errors import CapacityError, ShapeError, SiteRangeError
 from kronspin.kron_core import kron
+from kronspin.matfree_engine import total_component, total_spin_squared
 from kronspin.spin_algebra import (
     AXES,
     DENSE_SITE_CAP,
@@ -15,8 +16,6 @@ from kronspin.spin_algebra import (
     conserved_residual,
     lift,
     pauli,
-    total_component,
-    total_spin_squared,
 )
 
 
