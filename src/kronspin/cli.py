@@ -273,7 +273,7 @@ def cmd_spectrum(
     k: int | None = None,
     which: str = "lowest",
     out: str | None = None,
-    fmt: str = "csv",
+    as_json: bool = False,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> int:
@@ -319,7 +319,7 @@ def cmd_spectrum(
         note = f"{values.shape[0]} {which} of {spectrum.dimension} (Lanczos, tol {tol}, seed {seed})"
 
     values = np.asarray(values, dtype=np.float64)
-    if fmt == "json":
+    if as_json:
         row = {
             "name": f"spectrum ({engine})",
             "tolerance": tol if engine == "lanczos" else None,
@@ -564,14 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("dense", "lanczos"), default="dense")
     p.add_argument("--k", type=int, default=None, help="how many extremal eigenvalues")
     p.add_argument("--which", choices=("lowest", "highest"), default="lowest")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    p.add_argument("--json", action="store_true", help="alias for --format json")
+    p.add_argument("--json", action="store_true", help="emit a run report instead of CSV")
     p.add_argument("--out", help="write here instead of stdout")
     p.add_argument("--tol", type=float, default=1e-8, help="Lanczos residual tolerance")
     p.add_argument("--seed", type=int, default=0, help="Lanczos start-vector seed")
     p.set_defaults(
         handler=lambda a: cmd_spectrum(
-            a.spec, a.engine, a.k, a.which, a.out, "json" if a.json else a.fmt, a.tol, a.seed
+            a.spec, a.engine, a.k, a.which, a.out, a.json, a.tol, a.seed
         )
     )
 

@@ -36,21 +36,22 @@ S_axis and S^2 are built once, as KronSums; the dense ``total_component``
 and ``total_spin_squared`` write their flip forms into a 2^n x 2^n matrix,
 ``dense[s, s ^ m] = c_m[s]``, equal to the lifted forms bitwise.
 
-``lanczos_extremal`` finds extremal eigenvalues using only matvec, with full
-reorthogonalization against the stored basis (no ghost eigenvalues at desk
-scale) and a seeded start vector for reproducibility.  For a real plan the
-start vector, the Krylov basis and the projections are float64 (a real
-symmetric operator has a real orthonormal eigenbasis); otherwise they are
-complex128.  Each new vector gets one classical Gram-Schmidt pass, and a
-second one only when the first leaves less than 1/sqrt(2) of its norm
-(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30:772, 1976: "twice is
-enough").  Hitting an invariant subspace is handled by restarting with a
-fresh orthogonalized random vector; for a Hermitian operator the complement
-of an invariant subspace is again invariant, so the projected matrix stays
-block tridiagonal and Ritz residual bounds remain valid.  Because one Krylov chain holds at most one copy of
-each distinct eigenvalue, requests for k > 1 values finish with verification
-sweeps deflated against the accepted eigenvectors, so degenerate extremal
-eigenvalues are reported with their multiplicity.
+``lanczos_extremal`` finds extremal eigenvalues using only matvec, from a
+seeded start vector for reproducibility.  For a real plan the start vector,
+the Krylov basis and the projections are float64 (a real symmetric operator
+has a real orthonormal eigenbasis); otherwise they are complex128.  Each new
+vector is orthogonalized against the whole stored basis B (no ghost
+eigenvalues at desk scale): one classical Gram-Schmidt pass, and a second
+one only when the first leaves less than 1/sqrt(2) of its norm (Daniel,
+Gragg, Kaufman & Stewart, Math. Comp. 30:772, 1976: "twice is enough").
+The summed coefficients are a column of the Ritz matrix B^H op B, which
+therefore stays exact whatever B holds, so one step extends the search
+space in every case: compress B to chosen Ritz vectors, then continue from
+the residual when the fixed-size basis is full (thick restart, Wu & Simon,
+SIAM J. Matrix Anal. Appl. 22:602, 2000), or from a fresh random vector
+after an invariant subspace and, for k > 1, in verification passes that
+keep the converged k and target k + 1 until the first k stop moving, so
+degenerate extremal eigenvalues are reported with their multiplicity.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class KronSum:
     terms: tuple[KronTerm, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, int) or self.n_sites < 1:
+        if (not isinstance(self.n_sites, int) or isinstance(self.n_sites, bool)
+                or self.n_sites < 1):
             raise ContractError(f"n_sites must be a positive integer, got {self.n_sites!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t, term in enumerate(self.terms):
@@ -534,160 +536,35 @@ def _hermitian_sample_check(op: KronSum, rng, pairs: int = 2, rtol: float = 1e-8
 # DGKS reorthogonalization threshold: a second Gram-Schmidt pass runs when
 # the first leaves less than this fraction of the vector's norm
 _DGKS_ETA = 1 / math.sqrt(2)
-
-
-def _lanczos_core(op: KronSum, which: str, k: int, tol: float, max_iter: int,
-                  rng, locked=None):
-    """One Lanczos run restricted to the orthogonal complement of ``locked``.
-
-    ``locked`` is an optional (count, dim) array of orthonormal rows (already
-    certified eigenvectors, float64 when the plan is real); every chain
-    vector is kept orthogonal to them, so the run searches the deflated
-    complement.  The chain is float64 when ``op.plan.real``, else
-    complex128.  Returns (values, vectors, true_residuals, norm_est) with
-    values ordered ascending, or None when the complement is exhausted
-    before producing a value.  Raises ConvergenceError when the iteration
-    budget runs out first.
-    """
-    dim = op.dimension
-    n_locked = 0 if locked is None else locked.shape[0]
-    space = dim - n_locked
-    if space < k:
-        raise ContractError(f"k = {k} exceeds the {space}-dimensional search space")
-    budget = min(max_iter, space)
-    real = op.plan.real
-    dtype = np.float64 if real else np.complex128
-
-    def draw():
-        if real:
-            return rng.standard_normal(dim)
-        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-    def project(vec, m):
-        # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the
-        # rows; on float64 arrays both conj calls are the identity
-        if n_locked:
-            vec -= locked.T @ np.conj(locked @ vec.conj())
-        if m:
-            vec -= basis[:m].T @ np.conj(basis[:m] @ vec.conj())
-
-    def orthonormalize(vec, m):
-        """Project ``vec`` (a fresh array, updated in place) off the locked
-        rows and basis[:m]; return it with its remaining norm."""
-        before = float(np.linalg.norm(vec))
-        project(vec, m)
-        after = float(np.linalg.norm(vec))
-        if after < _DGKS_ETA * before:
-            # the pass cancelled most of the norm, so its rounding error is
-            # large relative to what is left: one more pass restores
-            # orthogonality to working precision
-            project(vec, m)
-            after = float(np.linalg.norm(vec))
-        return vec, after
-
-    basis = np.empty((min(32, budget), dim), dtype=dtype)
-    q, qnorm = orthonormalize(draw(), 0)
-    if qnorm <= 1e-13:
-        return None
-    basis[0] = q / qnorm
-    alphas: list[float] = []
-    betas: list[float] = []  # betas[j] couples basis j and j+1; 0.0 marks a restart
-    norm_est = 0.0
-    check_every = 5
-    last = None  # (m, theta, ritz_coeffs) from the most recent Ritz solve
-
-    def ritz(m, tail_beta):
-        """Solve the projected (block-)tridiagonal problem; update ``last``;
-        return True when k values from the requested end satisfy the
-        residual bound |tail_beta * (last component)| <= tol * ||op||_est."""
-        nonlocal norm_est, last
-        tmat = np.diag(alphas)
-        if m > 1:
-            off = np.asarray(betas[: m - 1])
-            tmat += np.diag(off, 1) + np.diag(off, -1)
-        theta, svec = np.linalg.eigh(tmat)
-        norm_est = max(norm_est, float(np.max(np.abs(theta), initial=0.0)))
-        take = min(k, m)
-        idx = np.arange(take) if which == "lowest" else np.arange(m - take, m)
-        last = (m, theta[idx], svec[:, idx])
-        bounds = np.abs(tail_beta * svec[m - 1, idx])
-        return take == k and bool(np.all(bounds <= tol * max(norm_est, 1e-300)))
-
-    def finalize():
-        m, theta, svec = last
-        vecs = (svec.T @ basis[:m]).T  # columns are Ritz vectors
-        true_res = np.empty(len(theta))
-        for i in range(len(theta)):
-            v = vecs[:, i]
-            v = v / np.linalg.norm(v)
-            vecs[:, i] = v
-            true_res[i] = float(np.linalg.norm(matvec(op, v) - theta[i] * v))
-        return np.array(theta, dtype=np.float64), vecs, true_res
-
-    m = 0
-    exhausted = False
-    while m < budget and not exhausted:
-        w = matvec(op, basis[m])
-        alphas.append(float(np.real(np.vdot(basis[m], w))))
-        m += 1
-        w, beta = orthonormalize(w, m)
-        breakdown = beta <= 1e-13 * max(norm_est, 1.0)
-        if breakdown or m % check_every == 0 or m == budget:
-            if ritz(m, 0.0 if breakdown else beta):
-                theta, vecs, true_res = finalize()
-                if np.all(true_res <= tol * max(norm_est, 1e-300)):
-                    return theta, vecs, true_res, norm_est
-                # the bound was optimistic; keep iterating
-        if m == budget:
-            break
-        if m == basis.shape[0]:
-            grown = np.empty((min(budget, 2 * basis.shape[0]), dim), dtype)
-            grown[: basis.shape[0]] = basis
-            basis = grown
-        if breakdown:
-            # invariant subspace: its orthogonal complement is invariant too,
-            # so restarting keeps the projected matrix block tridiagonal
-            w, beta = orthonormalize(draw(), m)
-            if beta <= 1e-13:
-                exhausted = True
-                continue
-            betas.append(0.0)
-        else:
-            betas.append(beta)
-        basis[m] = w / beta
-
-    ritz(m, 0.0 if exhausted else (betas[m - 1] if len(betas) >= m else 0.0))
-    theta, vecs, true_res = finalize()
-    if len(theta) >= k and np.all(true_res <= tol * max(norm_est, 1e-300)):
-        return theta, vecs, true_res, norm_est
-    raise ConvergenceError(
-        f"Lanczos did not converge in {m} iterations (tol {tol}, norm estimate {norm_est:.3e})",
-        estimates=[(float(t), float(r)) for t, r in zip(theta, true_res)],
-    )
+# Krylov basis rows held at once (96 float64 rows at n = 20 take 768 MB); a
+# full basis restarts keeping the wanted Ritz vectors plus _RESTART_MARGIN
+_BASIS_CAP = 96
+_RESTART_MARGIN = 8
 
 
 def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
                      tol: float = 1e-8, max_iter: int | None = None,
                      seed: int = 0) -> Spectrum:
-    """k extremal eigenvalues of a Hermitian KronSum via Lanczos iteration.
+    """k extremal eigenvalues of a Hermitian KronSum via thick-restart Lanczos.
 
-    Full reorthogonalization against the stored basis: one classical
-    Gram-Schmidt pass, and a second only when the first leaves less than
-    1/sqrt(2) of the vector's norm (the DGKS criterion).  The Krylov chain
-    runs in float64 when the operator's plan is real (every spec
-    Hamiltonian, S_z and S^2) and in complex128 otherwise; the returned
-    eigenvectors are complex128 and C-contiguous either way.  Convergence
-    requires the Ritz residual bound and then the true residual
-    ||op v - theta v|| to fall below tol * ||op||_est, where ||op||_est is
-    the largest Ritz magnitude seen.  A single Krylov chain
-    carries at most one copy of each distinct eigenvalue, so for k > 1 the
-    converged set is verified by extra runs deflated against the accepted
-    eigenvectors: a found value that beats the least extremal accepted one
-    displaces it (a missing copy of a degenerate eigenvalue, or a missed
-    cluster member), and sweeps continue until one finds nothing better.
-    Deterministic for a fixed seed.  Raises ConvergenceError (carrying best
-    estimates) if an iteration budget runs out, ContractError if the operator
-    fails a random-vector Hermitian check.
+    Full reorthogonalization under the DGKS rule; the Ritz matrix is built
+    from the Gram-Schmidt coefficients.  The basis holds at most
+    max(96, 2k + 2) vectors, float64 when the operator's plan is real (every
+    spec Hamiltonian, S_z and S^2) and complex128 otherwise; a full basis
+    keeps the wanted Ritz vectors plus a margin and continues from the
+    residual.  The returned eigenvectors are complex128 and C-contiguous
+    either way.  A pair converges when its Ritz residual bound and then its
+    true residual ||op v - theta v|| fall below tol * ||op||_est, the largest
+    Ritz magnitude seen.  One Krylov sequence holds one copy of each distinct
+    eigenvalue, so for 1 < k < dim verification passes keep the converged k,
+    continue from a fresh random vector and target k + 1 values until the
+    first k no longer move (at most k passes).
+
+    ``max_iter`` bounds the Lanczos steps (one matvec each) of the first
+    pass and, separately, of each verification pass; the default is
+    max(300, 3k).  Deterministic for a fixed seed.  Raises ConvergenceError
+    (carrying the best estimates) when a budget runs out, ContractError if
+    the operator fails a random-vector Hermitian check.
     """
     if which not in ("lowest", "highest"):
         raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
@@ -701,26 +578,107 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     rng = np.random.default_rng(seed)
     _hermitian_sample_check(op, rng)
 
-    # verification sweeps re-certify against the unmodified operator, but the
-    # deflated chains see leakage bounded by the locked residuals; the margin
-    # keeps every accepted pair within the caller's tolerance
-    inner_tol = tol if k == 1 else 0.4 * tol
-    values, vectors, _, norm_est = _lanczos_core(op, which, k, inner_tol, max_iter, rng)
-    if 1 < k < dim:
-        sign = 1.0 if which == "lowest" else -1.0
-        for _ in range(k):
-            outcome = _lanczos_core(op, which, 1, inner_tol, max_iter, rng,
-                                    locked=vectors.T)
-            if outcome is None:
-                break  # complement exhausted: the multiset is complete
-            extra_values, extra_vectors, _, extra_norm = outcome
-            norm_est = max(norm_est, extra_norm)
-            scale = inner_tol * max(norm_est, 1e-300)
-            worst = int(np.argmax(sign * values))
-            if sign * extra_values[0] >= sign * values[worst] - scale:
+    real = op.plan.real
+    dtype = np.float64 if real else np.complex128
+    rows = min(dim, max(_BASIS_CAP, 2 * k + 2))
+    basis = np.empty((rows, dim), dtype)
+    # upper triangle of tmat[:m, :m] is basis[:m]^H op basis[:m]
+    tmat = np.zeros((rows, rows), dtype)
+
+    def project(vec, m):
+        # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the
+        # rows; on float64 arrays both conj calls are the identity
+        coeffs = np.conj(basis[:m] @ vec.conj())
+        vec -= basis[:m].T @ coeffs
+        return coeffs
+
+    def orthogonalize(vec, m):
+        """Project ``vec`` (updated in place) off basis[:m]; return the summed
+        coefficients and the remaining norm."""
+        before = float(np.linalg.norm(vec))
+        coeffs = project(vec, m)
+        after = float(np.linalg.norm(vec))
+        if after < _DGKS_ETA * before:
+            # the pass cancelled most of the norm, so its rounding error is
+            # large relative to what is left: one more pass restores
+            # orthogonality to working precision
+            coeffs += project(vec, m)
+            after = float(np.linalg.norm(vec))
+        return coeffs, after
+
+    def ritz_pairs(idx):
+        vectors = svec[:, idx].T @ basis[:m]
+        for v in vectors:
+            v /= np.linalg.norm(v)
+        return theta[idx], vectors
+
+    def compress(values, vectors):
+        basis[: len(values)] = vectors
+        tmat[: len(values), : len(values)] = np.diag(values)
+        return len(values)
+
+    def fresh():
+        """A seeded random vector, orthonormalized against basis[:m]."""
+        q = rng.standard_normal(dim)
+        if not real:
+            q = q + 1j * rng.standard_normal(dim)
+        q /= orthogonalize(q, m)[1]
+        return q
+
+    norm_est = 0.0
+    accepted = None  # (values, vectors) last certified, from the extremal end
+    passes = 0  # verification passes started
+    want = k
+    m = spent = 0
+    q = fresh()
+    while True:
+        basis[m] = q
+        w = matvec(op, basis[m])
+        m += 1
+        spent += 1
+        tmat[:m, m - 1], beta = orthogonalize(w, m)
+        invariant = m == dim or beta <= 1e-13 * max(norm_est, 1.0)
+        if invariant or spent % 5 == 0 or m == rows or spent == max_iter:
+            theta, svec = np.linalg.eigh(tmat[:m, :m], UPLO="U")
+            norm_est = max(norm_est, float(np.max(np.abs(theta))))
+            scale = tol * max(norm_est, 1e-300)
+            order = np.arange(m) if which == "lowest" else np.arange(m)[::-1]
+            take = order[:want]
+            bound = 0.0 if invariant else beta
+            converged = take.size == want and bool(np.all(np.abs(bound * svec[m - 1, take]) <= scale))
+            if converged and want > k and np.all(np.abs(theta[take[:k]] - accepted[0]) <= scale):
                 break  # nothing more extremal exists outside the accepted set
-            values[worst] = extra_values[0]
-            vectors[:, worst] = extra_vectors[:, 0]
-    values, vectors = _canonical_order(values, vectors)
+            if converged or spent == max_iter:
+                values, vectors = ritz_pairs(take[:k])
+                residuals = [np.linalg.norm(matvec(op, v) - t * v) for t, v in zip(values, vectors)]
+                if converged and max(residuals) <= scale:
+                    accepted = values, vectors
+                    if k == 1 or k == dim or passes == k:
+                        break
+                    # verification: keep the k, target k + 1 from a fresh vector
+                    m = compress(values, vectors)
+                    passes += 1
+                    want = k + 1
+                    spent = 0
+                    q = fresh()
+                    continue
+                # a bound can be optimistic: keep iterating within the budget
+            if spent == max_iter:
+                raise ConvergenceError(
+                    f"Lanczos did not converge in {spent} iterations (tol {tol}, "
+                    f"norm estimate {norm_est:.3e})",
+                    estimates=[(float(t), float(r)) for t, r in zip(values, residuals)],
+                )
+        if m == rows:
+            m = compress(*ritz_pairs(order[: min(want + _RESTART_MARGIN, rows // 2)]))
+        if invariant:
+            # the complement of an invariant subspace is invariant too
+            q = fresh()
+        else:
+            w /= beta
+            q = w
+
+    del basis  # before the complex128 copy of the eigenvectors
+    values, vectors = _canonical_order(accepted[0], accepted[1].T)
     vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
     return Spectrum(eigenvalues=values, dimension=dim, eigenvectors=vectors)

@@ -19,7 +19,9 @@ import numpy as np
 from ._common import as_matrix
 from .errors import ParseError
 
-_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# digits are ASCII only: str.isdigit and a Unicode \d also accept digits
+# such as "²" or "٣", which int() rejects or float() reads as a value
+_UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _ENTRY_RE = re.compile(rf"^([+-]?{_UNSIGNED})(?:([+-])({_UNSIGNED})i)?$")
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -58,7 +60,7 @@ def parse_matrix(text: str) -> np.ndarray:
         )
     dims = []
     for token, col in header:
-        if not token.isdigit() or int(token) < 1:
+        if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise ParseError(f"dimension must be a positive integer, got {token!r}",
                              line=1, column=col)
         dims.append(int(token))

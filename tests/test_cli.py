@@ -107,6 +107,17 @@ class TestKron:
         assert run(["kron", str(bad), str(ok)]) == EXIT_USAGE
         assert str(bad) in capsys.readouterr().err
 
+    def test_non_ascii_header_digit_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\u00b2 2\n1 2\n3 4\n", encoding="utf-8")
+        ok = tmp_path / "ok.txt"
+        save_matrix(np.eye(1), ok)
+        assert run(["kron", str(bad), str(ok)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{bad}: dimension must be a positive integer" in err
+        assert "(line 1, column 1)" in err
+        assert "Traceback" not in err
+
     def test_oversized_product_is_capacity_error(self, tmp_path, capsys):
         row = tmp_path / "row.txt"
         col = tmp_path / "col.txt"

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kronspin.hamiltonian_builder import (
     build_general,
     build_h2,
 )
+from kronspin import matfree_engine
 from kronspin.kron_core import kron
 from kronspin.matfree_engine import (
     KronSum,
@@ -70,6 +72,14 @@ class TestTermAndSumValidation:
     def test_bad_site_count(self):
         with pytest.raises(ContractError):
             KronSum(0, ())
+
+    def test_bool_site_count_rejected(self):
+        with pytest.raises(ContractError, match="n_sites"):
+            KronSum(True, ())
+        with pytest.raises(ContractError, match="n_sites"):
+            total_component_kronsum("z", True)
+        with pytest.raises(ContractError, match="n_sites"):
+            total_spin_squared_kronsum(True)
 
     def test_two_site_helper_rejects_equal_sites(self):
         with pytest.raises(ContractError):
@@ -512,6 +522,111 @@ class TestLanczos:
         assert len(estimates) >= 1
         value, residual = estimates[0]
         assert np.isfinite(value) and residual > 0
+
+
+SMALL_CAP = 12
+
+
+@pytest.fixture
+def small_basis(monkeypatch):
+    """Cap the Lanczos basis at SMALL_CAP rows, so chains longer than that
+    must thick-restart (a basis row past the cap would be an IndexError)."""
+    monkeypatch.setattr(matfree_engine, "_BASIS_CAP", SMALL_CAP)
+
+
+@pytest.fixture
+def matvec_calls(monkeypatch):
+    calls = []
+
+    def counted(op, x):
+        calls.append(1)
+        return matvec(op, x)
+
+    monkeypatch.setattr(matfree_engine, "matvec", counted)
+    return calls
+
+
+def ring_spec(n: int, mu_b0: float = 0.0) -> HamiltonianSpec:
+    return HamiltonianSpec(n, mu_b0, tuple(CouplingEdge(k, k % n + 1, 1.0) for k in range(1, n + 1)))
+
+
+@pytest.mark.usefixtures("small_basis")
+class TestLanczosRestart:
+    def test_ring_singlet_and_triplet(self, matvec_calls):
+        spec = ring_spec(8)
+        op = spec_to_kronsum(spec)
+        s = lanczos_extremal(op, which="lowest", k=4, seed=5)
+        assert len(matvec_calls) > 3 * SMALL_CAP
+        want = eigh(build_general(spec), want_vectors=False).eigenvalues[:4]
+        assert np.max(np.abs(s.eigenvalues - want)) < 1e-8
+        assert np.ptp(s.eigenvalues[1:]) < 1e-8
+        s_sq = total_spin_squared_kronsum(8)
+        spins = [np.vdot(v, matvec(s_sq, v)).real for v in s.eigenvectors.T]
+        assert np.allclose(spins, [0.0, 2.0, 2.0, 2.0], atol=1e-7)
+
+    def test_degenerate_extremal_values_keep_multiplicity(self):
+        op = spec_to_kronsum(HamiltonianSpec(n_sites=6, mu_b0=0.7))
+        s = lanczos_extremal(op, which="lowest", k=3, seed=11)
+        assert np.allclose(s.eigenvalues, [-4.2, -2.8, -2.8], atol=1e-8)
+        h = lanczos_extremal(op, which="highest", k=3, seed=11)
+        assert np.allclose(h.eigenvalues, [2.8, 2.8, 4.2], atol=1e-8)
+
+    @pytest.mark.parametrize("which", ["lowest", "highest"])
+    def test_single_value_matches_dense(self, which, matvec_calls):
+        spec = chain_spec(9)
+        op = spec_to_kronsum(spec)
+        s = lanczos_extremal(op, which=which, k=1, seed=2)
+        assert len(matvec_calls) > 3 * SMALL_CAP
+        values = eigh(build_general(spec), want_vectors=False).eigenvalues
+        want = values[0] if which == "lowest" else values[-1]
+        assert abs(s.eigenvalues[0] - want) < 1e-10
+        v = s.eigenvectors[:, 0]
+        assert np.linalg.norm(matvec(op, v) - s.eigenvalues[0] * v) < 1e-7
+
+    def test_complex_plan_matches_dense(self, matvec_calls):
+        op = hermitian_kronsum(np.random.default_rng(31), 7)
+        assert not op.plan.real
+        want = eigh(to_dense(op), want_vectors=False).eigenvalues[:2]
+        s = lanczos_extremal(op, which="lowest", k=2, seed=7)
+        assert len(matvec_calls) > 3 * SMALL_CAP
+        assert np.max(np.abs(s.eigenvalues - want)) < 1e-8
+
+    def test_deterministic_for_fixed_seed(self):
+        op = spec_to_kronsum(chain_spec(8))
+        s1 = lanczos_extremal(op, which="lowest", k=2, seed=42)
+        s2 = lanczos_extremal(op, which="lowest", k=2, seed=42)
+        assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+        assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+    def test_non_convergence_carries_estimates(self, matvec_calls):
+        op = spec_to_kronsum(chain_spec(8))
+        with pytest.raises(ConvergenceError) as err:
+            lanczos_extremal(op, which="lowest", k=2, tol=1e-30, max_iter=40)
+        # the budget spans several restarts of the 12-row basis
+        assert len(matvec_calls) >= 40
+        estimates = err.value.estimates
+        assert len(estimates) == 2
+        for value, residual in estimates:
+            assert np.isfinite(value) and residual > 0
+
+    def test_peak_memory_follows_the_cap(self):
+        # basis rows (the cap), k returned vectors and two working vectors;
+        # slack: a restart holds its kept Ritz vectors, at most cap // 2
+        # rows, beside the full basis, and one row covers the projected
+        # matrix and the small arrays.  A growing basis reaches 128 rows.
+        n = 14
+        row = (1 << n) * 8
+        op = spec_to_kronsum(ring_spec(n, 0.7))
+        op.plan  # compiled outside the measurement
+        lanczos_extremal(spec_to_kronsum(chain_spec(3)))  # first-use imports
+        for k in (1, 4):
+            tracemalloc.start()
+            try:
+                lanczos_extremal(op, which="lowest", k=k, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (SMALL_CAP + k + 2 + SMALL_CAP // 2 + 1) * row
 
 
 class TestComplexityScaling:

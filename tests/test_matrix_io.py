@@ -118,6 +118,17 @@ class TestParse:
         with pytest.raises(ParseError, match="malformed"):
             parse_matrix("1 1\n1i\n")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("\u00b2 2\n1 2\n", 1, 1),       # superscript two as a dimension
+        ("1 \u0662\n1 2\n", 1, 3),       # Arabic-Indic two as a dimension
+        ("1 2\n1 \u0663\n", 2, 3),       # Arabic-Indic three as an entry
+        ("1 1\n1e\u0663+2i\n", 2, 1),    # ... in an exponent
+    ])
+    def test_non_ascii_digits_are_parse_errors(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
 
 class TestRoundTrip:
     @given(complex_matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)))
