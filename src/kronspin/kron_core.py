@@ -68,7 +68,8 @@ class ResidualReport:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product by the explicit block rule."""
+    """Kronecker product by the explicit block rule.  Raises SizingError when
+    the output would exceed the entry cap or an entry overflows a double."""
     a = as_matrix(a)
     b = as_matrix(b)
     rows = a.shape[0] * b.shape[0]
@@ -84,8 +85,15 @@ def kron(a, b) -> np.ndarray:
     # whose rounding depends on operand order, which would break the exact
     # permutation relation between kron(a, b) and kron(b, a).
     av, bv = a[:, None, :, None], b[None, :, None, :]
-    re = av.real * bv.real - av.imag * bv.imag
-    im = av.real * bv.imag + av.imag * bv.real
+    # finite factors can still overflow: 1e308 * 1e308 is no double
+    with np.errstate(over="raise"):
+        try:
+            re = av.real * bv.real - av.imag * bv.imag
+            im = av.real * bv.imag + av.imag * bv.real
+        except FloatingPointError:
+            raise SizingError(
+                f"kron output {rows}x{cols} has an entry past the double range"
+            ) from None
     blocks = np.empty(re.shape, dtype=np.complex128)
     blocks.real = re
     blocks.imag = im

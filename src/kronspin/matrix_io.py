@@ -89,6 +89,13 @@ def parse_matrix(text: str) -> np.ndarray:
                 if match.group(2) == "-":
                     im_part = -im_part
             out[r, c] = complex(re_part, im_part)
+    # float() reads a decimal past the double range, such as 1e400, as inf
+    overflow = np.flatnonzero(~np.isfinite(out))
+    if overflow.size:
+        r, c = divmod(int(overflow[0]), cols)
+        match = list(_TOKEN_RE.finditer(lines[r + 1]))[c]
+        raise ParseError(f"entry {match.group(0)!r} overflows a double",
+                         line=r + 2, column=match.start() + 1)
     return out
 
 

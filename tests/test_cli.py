@@ -118,6 +118,26 @@ class TestKron:
         assert "(line 1, column 1)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["kron", "verify-properties"])
+    def test_overflowing_entry_is_usage_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 1\n1e400\n")
+        ok = tmp_path / "ok.txt"
+        save_matrix(np.eye(1), ok)
+        assert run([command, str(bad), str(ok)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{bad}: entry '1e400' overflows a double (line 2, column 1)" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_product_is_capacity_error(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        save_matrix(np.array([[1e308]]), big)
+        assert run(["kron", str(big), str(big)]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert "past the double range" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_oversized_product_is_capacity_error(self, tmp_path, capsys):
         row = tmp_path / "row.txt"
         col = tmp_path / "col.txt"

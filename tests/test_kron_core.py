@@ -66,6 +66,15 @@ class TestKron:
         with pytest.raises(SizingError):
             kron(tall, wide)
 
+    @pytest.mark.parametrize("a, b", [
+        ([[1e308]], [[1e308]]),
+        ([[1.0, 1e200j]], [[1e200]]),
+        ([[1e200 + 1e200j]], [[1e200 - 1e200j]]),
+    ])
+    def test_overflowing_product_is_sizing_error(self, a, b):
+        with pytest.raises(SizingError, match="double range"):
+            kron(a, b)
+
     def test_rejects_non_finite(self):
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):

@@ -514,6 +514,24 @@ class TestLanczos:
         with pytest.raises(ContractError, match="Hermitian"):
             lanczos_extremal(op)
 
+    def test_complex_symmetric_non_hermitian_rejected(self):
+        # i sigma_x equals its transpose but not its adjoint: real probes
+        # compared without conjugation would pass it
+        op = KronSum(2, (KronTerm(1j, (pauli("x"), None)),))
+        assert not op.plan.real
+        with pytest.raises(ContractError, match="Hermitian"):
+            lanczos_extremal(op)
+
+    def test_sample_check_on_a_real_plan_stays_float64(self):
+        # float64 probes and matvecs hold about 4 rows at once; complex
+        # probes on the same plan peak near 15 rows
+        n = 14
+        op = spec_to_kronsum(ring_spec(n, 0.7))
+        op.plan  # compiled outside the measurement
+        peak = traced_peak(lambda: matfree_engine._hermitian_sample_check(
+            op, np.random.default_rng(3)))
+        assert peak <= 6 * (1 << n) * 8
+
     def test_non_convergence_carries_estimates(self):
         op = spec_to_kronsum(chain_spec(6))
         with pytest.raises(ConvergenceError) as err:
@@ -522,6 +540,18 @@ class TestLanczos:
         assert len(estimates) >= 1
         value, residual = estimates[0]
         assert np.isfinite(value) and residual > 0
+
+
+def traced_peak(call) -> int:
+    """tracemalloc peak in bytes of call(), taken after a small solve has
+    done numpy's lazy first-use imports."""
+    lanczos_extremal(spec_to_kronsum(chain_spec(3)))
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 SMALL_CAP = 12
@@ -627,6 +657,21 @@ class TestLanczosRestart:
             finally:
                 tracemalloc.stop()
             assert peak < (SMALL_CAP + k + 2 + SMALL_CAP // 2 + 1) * row
+
+
+class TestLanczosDefaultCap:
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_peak_memory_follows_the_default_cap(self, k):
+        # the basis (the cap), a restart's kept Ritz vectors (at most half
+        # the cap), k accepted vectors and two working vectors; one more row
+        # covers the projected matrix and the small arrays
+        n = 14
+        cap = matfree_engine._BASIS_CAP
+        assert 3 * k <= cap < 1 << n
+        op = spec_to_kronsum(ring_spec(n, 0.7))
+        op.plan  # compiled outside the measurement
+        peak = traced_peak(lambda: lanczos_extremal(op, which="lowest", k=k, seed=3))
+        assert peak < (cap + cap // 2 + k + 3) * (1 << n) * 8
 
 
 class TestComplexityScaling:

@@ -129,6 +129,16 @@ class TestParse:
             parse_matrix(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1 1\n1e400\n", 2, 1),
+        ("2 2\n1 2\n3  -2e308\n", 3, 4),
+        ("1 2\n0+0i 1-1e309i\n", 2, 6),
+    ])
+    def test_overflowing_entries_are_parse_errors(self, text, line, column):
+        with pytest.raises(ParseError, match="overflows") as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
 
 class TestRoundTrip:
     @given(complex_matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)))
