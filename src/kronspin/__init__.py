@@ -5,9 +5,10 @@ checks, the perfect-shuffle similarity), ``dense_linalg`` (dense matrix
 algebra and a Hermitian eigensolver on LAPACK via numpy), ``spin_algebra``
 (Pauli operators lifted to n-site registers), ``hamiltonian_builder``
 (Zeeman + isotropic exchange Hamiltonians from declarative specs),
-``matfree_engine`` (the same operators, S_axis and S^2 compiled once into a
-diagonal plus strided moves for 2^n state vectors, the dense spin totals
-scattered from that form, and a Lanczos extremal eigensolver),
+``matfree_engine`` (the same operators, S_axis and S^2 as a diagonal plus
+strided moves for 2^n state vectors, written from the edge list for H and
+S^2, the dense Hamiltonian and spin totals scattered from that form, and a
+Lanczos extremal eigensolver),
 ``matrix_io`` (text matrix round-tripping) and ``cli`` (batch front end).
 """
 

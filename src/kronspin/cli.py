@@ -25,6 +25,7 @@ import argparse
 import functools
 import hashlib
 import json as jsonlib
+import math
 import sys
 import time
 
@@ -218,6 +219,8 @@ def cmd_verify_properties(
     for index, operands, scalars in plans:
         try:
             rep = kron_core.check_property(index, operands, scalars=scalars, tol=tol)
+        except SizingError as err:
+            return _fail(f"{PROPERTY_NAMES[index]}: {err}", EXIT_CAPACITY)
         except SingularityError as err:
             rows.append(
                 {
@@ -300,6 +303,8 @@ def cmd_spectrum(
             values = values[:take] if which == "lowest" else values[-take:]
         note = f"all {spectrum.dimension} eigenvalues" if k is None else f"{values.shape[0]} {which} of {spectrum.dimension}"
     else:
+        if not (math.isfinite(tol) and tol > 0):
+            return _fail(f"--tol must be a finite positive number, got {tol!r}", EXIT_USAGE)
         if spec.n_sites > MAX_STATE_SITES:
             return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
         op = spec_to_kronsum(spec)
@@ -353,6 +358,13 @@ def cmd_conserved(
     spec, err = _load_spec_or_none(spec_path)
     if spec is None:
         return _fail(err, EXIT_USAGE)
+    # refuse a z coupling J * Z_SCALE that is not a finite number before
+    # anything is built: the operator terms would raise on it, and the
+    # edge-list plan takes its values unchecked
+    if not (math.isfinite(z_scale)
+            and all(math.isfinite(edge.strength * z_scale) for edge in spec.couplings)):
+        return _fail(f"--debug-anisotropy must be finite and keep every J * Z_SCALE finite, "
+                     f"got {z_scale!r}", EXIT_USAGE)
     n = spec.n_sites
     if n > MAX_STATE_SITES:
         return _fail(_state_alloc_message(n), EXIT_CAPACITY)

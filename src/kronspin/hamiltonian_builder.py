@@ -7,18 +7,16 @@ The general form on n sites is
                                    + sigma_z(i) sigma_z(j))
 
 with sigma_axis(k) the Pauli matrix lifted to site k (bit n - k of the state
-index, the convention of ``spin_algebra.lift``).  The dense builder fills
-this from the bits b_k of each basis state s rather than multiplying lifted
-matrices: the diagonal collects -mu_b0 (1 - 2 b_k) site by site, then
-J_ij (1 - 2 (b_i xor b_j)) edge by edge in stored order, and each edge's
-flip-flop part sigma_x sigma_x + sigma_y sigma_y puts 2 J_ij at
-(s ^ mask_ij, s) for every s whose bits i and j differ (it vanishes on
-aligned pairs).  That is O((n + |E|) 2^n) arithmetic on a zeroed matrix, and
-with this accumulation order every entry equals the lifted-product form and
-the matrix-free engine's ``to_dense`` bitwise.  ``build_general(spec,
-z_scale)`` multiplies every sigma_z sigma_z coupling by z_scale, the XXZ
-anisotropy Delta; 1 gives the isotropic form above.  The two- and three-site
-builders are the general builder applied to fixed edge lists.
+index, the convention of ``spin_algebra.lift``).  It has one construction:
+the edge list (i, j, J, J * z_scale) of the spec becomes the matrix-free
+engine's plan (``matfree_engine._exchange_plan``), the diagonal of Zeeman
+and zz terms plus two flip-flop moves of weight 2 J per edge, and
+``build_general`` scatters that plan into a dense matrix.  Every entry
+equals the lifted-product form and the engine's ``to_dense`` bitwise.
+``build_general(spec, z_scale)`` multiplies every sigma_z sigma_z coupling
+by z_scale, the XXZ anisotropy Delta; 1 gives the isotropic form above.  The
+two- and three-site builders are the general builder applied to fixed edge
+lists.
 
 ``verify_h2_decomposition`` mechanically reproduces the two-site Hamiltonian
 from a weighted S_z and the squares of the weighted total components: each
@@ -38,6 +36,7 @@ import numpy as np
 from ._common import DEFAULT_TOL, frobenius
 from .errors import ContractError, SiteRangeError
 from .kron_core import ResidualReport, kron
+from .matfree_engine import _exchange_plan, _scatter_dense, _spec_edges
 from .spin_algebra import AXES, _check_capacity, pauli
 # kept importable here: benchmark/tracing.py wraps hamiltonian_builder.lift
 from .spin_algebra import lift  # noqa: F401
@@ -119,24 +118,10 @@ class WeightTriple:
 
 def build_general(spec: HamiltonianSpec, z_scale: float = 1.0) -> np.ndarray:
     """Dense Hamiltonian for an arbitrary valid spec, with every zz coupling
-    scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is isotropic)."""
-    n = spec.n_sites
-    _check_capacity(n, "dense Hamiltonian")
-    dim = 1 << n
-    # row k - 1 holds site k's bit (bit n - k) of every state index
-    bits = (np.arange(dim)[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    diag = np.zeros(dim)
-    for site_bits in bits:
-        diag += (-spec.mu_b0) * (1 - 2 * site_bits)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for edge in spec.couplings:
-        differ = bits[edge.i - 1] ^ bits[edge.j - 1]
-        diag += (edge.strength * z_scale) * (1 - 2 * differ)
-        flipped = np.flatnonzero(differ)
-        mask = (1 << (n - edge.i)) | (1 << (n - edge.j))
-        h[flipped ^ mask, flipped] = 2.0 * edge.strength
-    np.fill_diagonal(h, diag)
-    return h
+    scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is isotropic): the
+    plan of its edge list, scattered."""
+    _check_capacity(spec.n_sites, "dense Hamiltonian")
+    return _scatter_dense(_exchange_plan(spec.n_sites, -spec.mu_b0, _spec_edges(spec, z_scale)))
 
 
 def build_h2(mu_b0: float, j12: float) -> np.ndarray:
@@ -148,13 +133,8 @@ def build_h2(mu_b0: float, j12: float) -> np.ndarray:
 def build_h3(mu_b0: float, j12: float, j23: float, j31: float) -> np.ndarray:
     """Three-site Hamiltonian with couplings on edges (1,2), (2,3), (3,1);
     every factor sits at its own site slot."""
-    return build_general(
-        HamiltonianSpec(
-            3,
-            mu_b0,
-            (CouplingEdge(1, 2, j12), CouplingEdge(2, 3, j23), CouplingEdge(3, 1, j31)),
-        )
-    )
+    edges = (CouplingEdge(1, 2, j12), CouplingEdge(2, 3, j23), CouplingEdge(3, 1, j31))
+    return build_general(HamiltonianSpec(3, mu_b0, edges))
 
 
 def _weighted_component(axis: str, weight: float) -> np.ndarray:
@@ -218,13 +198,7 @@ def verify_h2_decomposition(weights: WeightTriple, mu_b0: float,
         f"intermediate square-identity residual {intermediate:.3e}"
     )
     passed = residual <= tol and intermediate <= INTERMEDIATE_TOL
-    return ResidualReport(
-        property_name="H2 decomposition",
-        residual=residual,
-        tolerance=tol,
-        passed=passed,
-        note=note,
-    )
+    return ResidualReport("H2 decomposition", residual, tol, passed, note=note)
 
 
 def spec_to_dict(spec: HamiltonianSpec) -> dict:

@@ -196,6 +196,16 @@ def _report(name, lhs, rhs, tol, note="", diagnostic=False, extras=()):
     )
 
 
+def _derived(m: np.ndarray) -> np.ndarray:
+    """A sum or product of the operands, refused with SizingError, as kron
+    refuses an overflowing entry, when an entry overflowed the double range."""
+    if not np.isfinite(m).all():
+        raise SizingError(
+            f"a derived {m.shape[0]}x{m.shape[1]} operand has an entry past the double range"
+        )
+    return m
+
+
 def _need(operands, count, index):
     if len(operands) != count:
         raise ShapeError(
@@ -203,6 +213,9 @@ def _need(operands, count, index):
         )
 
 
+# an overflowing sum or product of the operands is refused by _derived, so
+# numpy's overflow warning would only repeat it
+@np.errstate(over="ignore")
 def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Evaluate both sides of one Kronecker law and report the residual.
 
@@ -216,7 +229,9 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
     transposed form as a diagnostic extra.  Property 8 passes when the two
     products differ, with equal operands and scalar-identity pairs accepted
     as the documented commuting exceptions.  P2-P7 are judged against
-    tol * max(1, ||rhs||_F); P1 and P8 against tol itself.
+    tol * max(1, ||rhs||_F); P1 and P8 against tol itself.  Raises
+    SizingError when a product, or a sum or product of the operands, has an
+    entry past the double range.
     """
     operands = [as_matrix(op) for op in operands]
 
@@ -243,14 +258,16 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
         a1, a2, b = operands
         if a1.shape != a2.shape:
             raise ShapeError(f"summands must share shape, got {a1.shape} and {a2.shape}")
-        return _report(PROPERTY_NAMES[3], kron(a1 + a2, b), kron(a1, b) + kron(a2, b), tol)
+        return _report(PROPERTY_NAMES[3], kron(_derived(a1 + a2), b),
+                       kron(a1, b) + kron(a2, b), tol)
 
     if index == 4:
         _need(operands, 3, index)
         a, b1, b2 = operands
         if b1.shape != b2.shape:
             raise ShapeError(f"summands must share shape, got {b1.shape} and {b2.shape}")
-        return _report(PROPERTY_NAMES[4], kron(a, b1 + b2), kron(a, b1) + kron(a, b2), tol)
+        return _report(PROPERTY_NAMES[4], kron(a, _derived(b1 + b2)),
+                       kron(a, b1) + kron(a, b2), tol)
 
     if index == 5:
         _need(operands, 2, index)
@@ -258,8 +275,8 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
             raise ShapeError("property 5 needs two scalars (s, t)")
         a, b = operands
         s, t = scalars
-        return _report(PROPERTY_NAMES[5], kron(s * a, t * b), (s * t) * kron(a, b), tol,
-                       note=f"s={s}, t={t}")
+        return _report(PROPERTY_NAMES[5], kron(_derived(s * a), _derived(t * b)),
+                       (s * t) * kron(a, b), tol, note=f"s={s}, t={t}")
 
     if index == 6:
         _need(operands, 2, index)
@@ -282,7 +299,7 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
         if a1.shape[1] != b1.shape[0] or a2.shape[1] != b2.shape[0]:
             raise ShapeError("inner dimensions must agree for both ordinary products")
         return _report(PROPERTY_NAMES[7],
-                       kron(a1 @ b1, a2 @ b2),
+                       kron(_derived(a1 @ b1), _derived(a2 @ b2)),
                        kron(a1, a2) @ kron(b1, b2), tol)
 
     if index == 8:

@@ -19,7 +19,7 @@ length-2^n vector beside the result (three when a term spans three sites).
 
 A plan is real when its diagonal is float64, every move weight is a real
 float and no fallback terms remain: every spec Hamiltonian (any XXZ
-anisotropy), S_z, S_x and S^2 compile that way.  ``matvec`` of a real plan
+anisotropy), S_z, S_x and S^2 has a real plan.  ``matvec`` of a real plan
 on a float64 state stays float64 end to end, at half the memory traffic of
 complex128; every other combination computes in complex128.
 
@@ -32,9 +32,12 @@ is again one, with the masks XORed, so ``commutator_norm`` gives the exact
 Frobenius norm of ab - ba in O(#masks_a #masks_b 2^n) work and one
 length-2^n row per distinct product mask, never a 2^n x 2^n matrix.
 
-S_axis and S^2 are built once, as KronSums; the dense ``total_component``
-and ``total_spin_squared`` write their flip forms into a 2^n x 2^n matrix,
-``dense[s, s ^ m] = c_m[s]``, equal to the lifted forms bitwise.
+The spec Hamiltonian and S^2 share one shape, a field on every site plus
+exchange couplings on a graph (S^2 is the complete graph at J = 1/2 plus
+3n/4), so their plans are written straight from the edge list by
+``_exchange_plan``, bitwise equal to compiling their terms.  A dense H,
+S_axis or S^2 is its plan scattered into a 2^n x 2^n matrix (diagonal, then
+each move's weight at (s, s ^ mask)), equal to the lifted forms bitwise.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, from a
 seeded start vector for reproducibility.  For a real plan the start vector,
@@ -66,7 +69,6 @@ import numpy as np
 
 from ._common import as_matrix
 from .errors import CapacityError, ContractError, ConvergenceError, ShapeError, SiteRangeError
-from .hamiltonian_builder import HamiltonianSpec
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
 from .spin_algebra import AXES, DENSE_SITE_CAP, _check_capacity, pauli
@@ -267,6 +269,48 @@ def _compile(op: KronSum) -> MatvecPlan:
     return MatvecPlan(diagonal, tuple(moves), tuple(fallback), real)
 
 
+# sigma_z on one site and sigma_z sigma_z on two, as slab diagonals
+_Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
+_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(1, 2, 1, 2, 1)
+# sigma_x sigma_x + sigma_y sigma_y is 2 at 01 <- 10 and at 10 <- 01: the
+# (dst, src) slab indices of an exchange edge's two moves
+_FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
+               (_slab_index((1, 0)), _slab_index((0, 1))))
+
+
+def _exchange_plan(n: int, zeeman, edges, constant: float = 0.0) -> MatvecPlan:
+    """Plan of constant I + zeeman sum_k sigma_z(k) + sum over the edges
+    (i, j, j_xy, j_z), distinct site pairs with i < j, of
+    j_xy (sigma_x sigma_x + sigma_y sigma_y)(i, j) + j_z sigma_z sigma_z(i, j),
+    written straight from the edge list; ``zeeman`` None means no field.
+
+    The diagonal takes the constant, each site's Zeeman slab, then each
+    edge's zz slab; each edge with j_xy != 0 adds two flip-flop moves of
+    weight 2 j_xy.  That is ``_compile``'s order on the terms of
+    ``_exchange_sum``, so the plan equals the compiled one bitwise.  Values
+    are not checked."""
+    # zeros plus the constant, not np.full: numpy takes zeroed memory from
+    # calloc, which maps a large array afresh; np.full's malloc'd array
+    # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB
+    diagonal = np.zeros(1 << n)
+    diagonal += constant
+    if zeeman:
+        for slot in range(n):
+            part = diagonal.reshape(1 << slot, 2, -1)
+            part += zeeman * _Z_SIGNS
+    moves = []
+    for i, j, j_xy, j_z in edges:
+        # _slab_shape((i - 1, j - 1), n), inlined
+        shape = (1 << (i - 1), 2, 1 << (j - i - 1), 2, 1 << (n - j))
+        part = diagonal.reshape(shape)
+        part += j_z * _ZZ_SIGNS
+        if j_xy:
+            mask = (1 << (n - i)) | (1 << (n - j))
+            moves += [(shape, dst, src, 2.0 * j_xy, mask) for dst, src in _FLIP_FLOPS]
+    diagonal.setflags(write=False)
+    return MatvecPlan(diagonal, tuple(moves), (), True)
+
+
 @dataclass(frozen=True)
 class FlipForm:
     """A plan without fallback terms as a sum of masked bit flips:
@@ -430,12 +474,6 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     return float(np.linalg.norm(acc))
 
 
-def _single_site_term(coefficient, f, site: int, n: int) -> KronTerm:
-    factors = [None] * n
-    factors[site - 1] = f
-    return KronTerm(coefficient, tuple(factors))
-
-
 def _two_site_term(coefficient, fi, i: int, fj, j: int, n: int) -> KronTerm:
     if i == j:
         raise ContractError(f"two-site term needs distinct sites, got ({i}, {j})")
@@ -445,23 +483,49 @@ def _two_site_term(coefficient, fi, i: int, fj, j: int, n: int) -> KronTerm:
     return KronTerm(coefficient, tuple(factors))
 
 
-def spec_to_kronsum(spec: HamiltonianSpec, z_scale: float = 1.0) -> KronSum:
+@dataclass(frozen=True)
+class ExchangeSum(KronSum):
+    """A KronSum of a constant, a Zeeman field and exchange edges that keeps
+    its edge list (the arguments of ``_exchange_plan``), so its plan is
+    written from the edges instead of compiled from the terms."""
+
+    zeeman: float | None
+    edges: tuple
+    constant: float
+
+    @cached_property
+    def plan(self) -> MatvecPlan:
+        return _exchange_plan(self.n_sites, self.zeeman, self.edges, self.constant)
+
+
+def _exchange_sum(n: int, zeeman, edges, constant: float = 0.0) -> ExchangeSum:
+    """``_exchange_plan``'s operator with its terms in the plan's order: the
+    constant (when nonzero), sigma_z on every site (unless ``zeeman`` is
+    None), then sigma_x sigma_x, sigma_y sigma_y and sigma_z sigma_z per edge."""
+    terms = [KronTerm(constant, (None,) * n)] if constant else []
+    if zeeman is not None:
+        sigma_z = pauli("z")
+        terms += [KronTerm(zeeman, (None,) * k + (sigma_z,) + (None,) * (n - k - 1))
+                  for k in range(n)]
+    sigmas = [pauli(axis) for axis in AXES]
+    for i, j, j_xy, j_z in edges:
+        terms += [_two_site_term(strength, sigma, i, sigma, j, n)
+                  for sigma, strength in zip(sigmas, (j_xy, j_xy, j_z))]
+    return ExchangeSum(n, tuple(terms), zeeman, tuple(edges), constant)
+
+
+def _spec_edges(spec, z_scale: float) -> tuple:
+    """A spec's couplings as exchange edges (i, j, J, J * z_scale)."""
+    return tuple((e.i, e.j, e.strength, e.strength * z_scale) for e in spec.couplings)
+
+
+def spec_to_kronsum(spec, z_scale: float = 1.0) -> KronSum:
     """Matrix-free form of the Hamiltonian builder's general form: n Zeeman
-    terms then 3 terms per coupling edge, in the dense builder's exact
-    accumulation order so dense round-trips compare bitwise.  As in
-    ``build_general(spec, z_scale)``, every sigma_z sigma_z coupling is
-    scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is isotropic)."""
-    n = spec.n_sites
-    terms = []
-    sigma_z = pauli("z")
-    for site in range(1, n + 1):
-        terms.append(_single_site_term(-spec.mu_b0, sigma_z, site, n))
-    for edge in spec.couplings:
-        for axis in AXES:
-            sigma = pauli(axis)
-            strength = edge.strength * z_scale if axis == "z" else edge.strength
-            terms.append(_two_site_term(strength, sigma, edge.i, sigma, edge.j, n))
-    return KronSum(n, tuple(terms))
+    terms then 3 terms per coupling edge, with the plan written from the
+    edge list, so ``build_general(spec, z_scale)`` is its plan scattered.
+    Every sigma_z sigma_z coupling is scaled by ``z_scale`` (the XXZ
+    anisotropy Delta; 1 is isotropic)."""
+    return _exchange_sum(spec.n_sites, -spec.mu_b0, _spec_edges(spec, z_scale))
 
 
 def total_component_kronsum(axis: str, n: int) -> KronSum:
@@ -469,7 +533,8 @@ def total_component_kronsum(axis: str, n: int) -> KronSum:
     if n < 1:
         raise ContractError(f"site count must be >= 1, got {n}")
     sigma = pauli(axis)
-    return KronSum(n, tuple(_single_site_term(0.5, sigma, k, n) for k in range(1, n + 1)))
+    return KronSum(n, tuple(KronTerm(0.5, (None,) * k + (sigma,) + (None,) * (n - k - 1))
+                            for k in range(n)))
 
 
 def total_spin_squared_kronsum(n: int) -> KronSum:
@@ -477,46 +542,46 @@ def total_spin_squared_kronsum(n: int) -> KronSum:
     from expanding the squared component sums with sigma^2 = I."""
     if n < 1:
         raise ContractError(f"site count must be >= 1, got {n}")
-    terms = [KronTerm(0.75 * n, tuple([None] * n))]
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            for axis in AXES:
-                sigma = pauli(axis)
-                terms.append(_two_site_term(0.5, sigma, i, sigma, j, n))
-    return KronSum(n, tuple(terms))
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return _exchange_sum(n, None, [(i, j, 0.5, 0.5) for i, j in pairs], 0.75 * n)
 
 
-def _scatter_dense(op: KronSum) -> np.ndarray:
-    """The operator as a complex128 2^n x 2^n matrix, written from its flip
-    form: entry (s, s ^ m) is c_m[s].  The masks are distinct, so every
-    entry is written once and equals the plan's sum bitwise."""
-    form = op.flip_form
-    states = np.arange(op.dimension)
-    dense = np.zeros((op.dimension, op.dimension), dtype=np.complex128)
-    for mask, row in zip(form.masks, form.coefficients):
-        dense[states, states ^ mask] = row
-    return dense
+def _scatter_dense(plan: MatvecPlan) -> np.ndarray:
+    """A plan without fallback terms as a complex128 2^n x 2^n matrix: the
+    diagonal, then each move's weight at (s, s ^ mask) for every s of its
+    destination slab.  Moves are written, not summed, so no two may share an
+    entry; that holds when all moves with one flip mask come from one site
+    set, as in every spec Hamiltonian, S_axis and S^2 plan."""
+    dim = plan.diagonal.size
+    flat = np.zeros(dim * dim, dtype=np.complex128)
+    flat[:: dim + 1] = plan.diagonal
+    # entry (s, s ^ mask) is at flat index s (dim + 1) ^ mask, since s dim
+    # has no bit below dim
+    on_diagonal = np.arange(0, dim * dim, dim + 1)
+    for shape, dst, _, weight, mask in plan.moves:
+        flat[on_diagonal.reshape(shape)[dst] ^ mask] = weight
+    return flat.reshape(dim, dim)
 
 
 def total_component(axis: str, n: int) -> np.ndarray:
     """Dense total spin component S_axis = (1/2) * sum over sites of the
     lifted Pauli matrix; the 1/2 is the spin-1/2 prefactor with hbar = 1.
-    Scattered from ``total_component_kronsum``."""
+    Scattered from the plan of ``total_component_kronsum``."""
     pauli(axis)  # an unknown axis is a ValueError before any site check
     if n < 1:
         raise SiteRangeError(f"site count must be >= 1, got {n}")
     _check_capacity(n, "dense total component")
-    return _scatter_dense(total_component_kronsum(axis, n))
+    return _scatter_dense(total_component_kronsum(axis, n).plan)
 
 
 def total_spin_squared(n: int) -> np.ndarray:
     """Dense S^2 = S_x^2 + S_y^2 + S_z^2 = n(4 - n)/4 I + sum_{i<j} SWAP_ij;
     eigenvalues s(s+1) with s in {n/2, n/2 - 1, ..., (n mod 2)/2}.
-    Scattered from ``total_spin_squared_kronsum``."""
+    Scattered from the plan of ``total_spin_squared_kronsum``."""
     if n < 1:
         raise SiteRangeError(f"site count must be >= 1, got {n}")
     _check_capacity(n, "dense total spin squared")
-    return _scatter_dense(total_spin_squared_kronsum(n))
+    return _scatter_dense(total_spin_squared_kronsum(n).plan)
 
 
 def _hermitian_sample_check(op: KronSum, rng, pairs: int = 2, rtol: float = 1e-8) -> None:

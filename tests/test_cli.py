@@ -199,6 +199,27 @@ class TestVerifyProperties:
         save_matrix(np.eye(3), pb)
         assert run(["verify-properties", str(pa), str(pb)]) == EXIT_USAGE
 
+    def test_overflowing_operand_sum_is_capacity_error(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows in the P3 sum before any product is formed
+        big = tmp_path / "big.txt"
+        save_matrix(np.array([[1e308]]), big)
+        assert run(["verify-properties", str(big), str(big)]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert "P3 sum in left factor" in captured.err
+        assert "past the double range" in captured.err
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_product_is_capacity_error(self, tmp_path, capsys):
+        # 1e200 * 1e200 overflows inside kron, the first product of P3
+        big = tmp_path / "big.txt"
+        save_matrix(np.array([[1e200]]), big)
+        assert run(["verify-properties", str(big), str(big), "--json"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert "kron output 1x1 has an entry past the double range" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestSpectrum:
     def test_dense_csv(self, tmp_path, capsys):
@@ -281,6 +302,18 @@ class TestSpectrum:
     def test_nonpositive_k(self, tmp_path):
         spec = h2_spec(tmp_path)
         assert run(["spectrum", spec, "--k", "0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_lanczos_tol_must_be_finite_positive(self, tmp_path, capsys, monkeypatch, tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve must not start")
+
+        monkeypatch.setattr(cli, "lanczos_extremal", no_solve)
+        spec = h2_spec(tmp_path)
+        assert run(["spectrum", spec, "--engine", "lanczos", "--tol", tol]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--tol must be a finite positive number" in captured.err
+        assert captured.out == ""
 
 
 class TestConserved:
@@ -378,6 +411,21 @@ class TestConserved:
 
     def test_missing_spec_file(self, tmp_path):
         assert run(["conserved", str(tmp_path / "none.json")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("z_scale, strength", [("nan", 1.0), ("inf", 1.0), ("-inf", 1.0),
+                                                   ("1e10", 1e300)])
+    def test_non_finite_z_coupling_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  z_scale, strength):
+        def no_build(*args, **kwargs):
+            raise AssertionError("no operator may be built")
+
+        monkeypatch.setattr(cli, "spec_to_kronsum", no_build)
+        spec = write_spec(tmp_path, HamiltonianSpec(2, 1.0, (CouplingEdge(1, 2, strength),)))
+        assert run(["conserved", spec, f"--debug-anisotropy={z_scale}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--debug-anisotropy must be finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestBench:

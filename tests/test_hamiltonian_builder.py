@@ -20,6 +20,7 @@ from kronspin.hamiltonian_builder import (
     verify_h2_decomposition,
 )
 from kronspin.matfree_engine import (
+    _compile,
     _scatter_dense,
     matvec,
     spec_to_kronsum,
@@ -329,7 +330,7 @@ class TestDirectFill:
         for n in range(1, 10):
             for _ in range(3):
                 spec = seeded_spec(rng, n)
-                want = _scatter_dense(spec_to_kronsum(spec, z_scale))
+                want = _scatter_dense(_compile(spec_to_kronsum(spec, z_scale)))
                 assert np.array_equal(build_general(spec, z_scale), want)
 
     def test_dense_cap_build_equals_matvec_columns(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +335,17 @@ class TestCheckProperty:
             assert rep.tolerance > 1e-10
         assert check_property(1, [a, b]).tolerance == 1e-10
         assert check_property(8, [a, b]).tolerance == 1e-10
+
+    @pytest.mark.parametrize("index, operands, scalars", [
+        (3, [[[1e308]], [[1e308]], [[1.0]]], None),
+        (4, [[[1.0]], [[1e308]], [[1e308]]], None),
+        (5, [[[1e308]], [[1.0]]], (2.0, -0.5)),
+        (7, [[[1e200]], [[1e200]], [[1.0]], [[1.0]]], None),
+    ])
+    def test_overflowing_derived_operand_is_sizing_error(self, index, operands, scalars):
+        # each sum or product of finite operands overflows before any kron;
+        # numpy's overflow warning is not repeated (warnings are errors here)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                check_property(index, [np.array(op) for op in operands], scalars=scalars)

@@ -23,8 +23,10 @@ from kronspin.hamiltonian_builder import (
 from kronspin import matfree_engine
 from kronspin.kron_core import kron
 from kronspin.matfree_engine import (
+    ExchangeSum,
     KronSum,
     KronTerm,
+    _compile,
     _two_site_term,
     commutator_norm,
     lanczos_extremal,
@@ -398,6 +400,54 @@ class TestConservedKronsums:
             total_component_kronsum("z", 0)
         with pytest.raises(ContractError):
             total_spin_squared_kronsum(0)
+
+
+def assert_plans_bitwise_equal(got, want):
+    assert got.diagonal.dtype == want.diagonal.dtype
+    assert got.diagonal.tobytes() == want.diagonal.tobytes()
+    assert not got.diagonal.flags.writeable
+    assert got.real == want.real
+    assert got.fallback == want.fallback == ()
+    assert len(got.moves) == len(want.moves)
+    for move, wanted in zip(got.moves, want.moves):
+        shape, dst, src, weight, mask = move
+        assert (shape, dst, src, mask) == (wanted[0], wanted[1], wanted[2], wanted[4])
+        # same type and the same double, sign included
+        assert type(weight) is type(wanted[3]) and repr(weight) == repr(wanted[3])
+
+
+class TestExchangePlan:
+    """The plan written from the edge list equals ``_compile`` of the same
+    operator's terms bitwise."""
+
+    @pytest.mark.parametrize("z_scale", [1.0, 2.0, -0.7, 0.0])
+    def test_spec_plan_equals_compiled_terms_bitwise(self, z_scale):
+        rng = np.random.default_rng(6161)
+        for n in range(1, 10):
+            for rep in range(4):
+                drawn = random_spec(rng, n)
+                # a quarter of the couplings are J = 0, and every fourth spec
+                # has no field
+                edges = tuple(CouplingEdge(e.i, e.j, 0.0 if rng.random() < 0.25 else e.strength)
+                              for e in drawn.couplings)
+                spec = HamiltonianSpec(n, 0.0 if rep == 0 else drawn.mu_b0, edges)
+                op = spec_to_kronsum(spec, z_scale)
+                assert isinstance(op, ExchangeSum)
+                assert_plans_bitwise_equal(op.plan, _compile(op))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_spin_squared_plan_equals_compiled_terms_bitwise(self, n):
+        op = total_spin_squared_kronsum(n)
+        assert_plans_bitwise_equal(op.plan, _compile(op))
+
+    def test_plan_is_built_on_first_use(self):
+        # 2^56 amplitudes could not be allocated: building the operator and
+        # reading its terms must not touch the plan
+        op = spec_to_kronsum(HamiltonianSpec(56, 1.0, (CouplingEdge(1, 2, 1.0),)))
+        assert len(op.terms) == 56 + 3
+        assert "plan" not in vars(op)
+        small = spec_to_kronsum(chain_spec(4))
+        assert small.plan is small.plan
 
 
 class TestLanczos:
