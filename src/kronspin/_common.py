@@ -8,6 +8,8 @@ that have already been checked.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError
@@ -40,5 +42,17 @@ def as_square(values, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm, the distance measure behind every residual report."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, the distance measure behind every residual report.
+
+    ``np.linalg.norm`` squares the entries, so it overflows once the norm
+    passes about 1.3e154; a matrix of finite entries is then rescaled by its
+    largest entry magnitude, and the result is inf only when the norm itself
+    is past the double range.  A finite plain norm is returned unchanged."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if math.isinf(norm):
+            scale = float(np.max(np.abs(a)))
+            if math.isfinite(scale):
+                norm = scale * float(np.linalg.norm(a / scale))
+    return norm

@@ -192,6 +192,10 @@ def cmd_verify_properties(
     file_a: str, file_b: str, tol: float = DEFAULT_TOL, as_json: bool = False
 ) -> int:
     started = time.perf_counter()
+    # an infinite or NaN bound judges nothing; the checks would refuse the
+    # first as an overflow
+    if not (math.isfinite(tol) and tol >= 0):
+        return _fail(f"--tol must be a finite non-negative number, got {tol!r}", EXIT_USAGE)
     try:
         a = load_matrix(file_a)
         b = load_matrix(file_b)
@@ -296,6 +300,8 @@ def cmd_spectrum(
                 f"{err}; rerun with --engine lanczos for matrix-free extremal eigenvalues",
                 EXIT_ENGINE,
             )
+        except SizingError as err:
+            return _fail(str(err), EXIT_CAPACITY)
         spectrum = eigh(h, want_vectors=False)
         values = spectrum.eigenvalues
         if k is not None:
@@ -313,6 +319,8 @@ def cmd_spectrum(
             spectrum = lanczos_extremal(op, which=which, k=want, tol=tol, seed=seed)
         except ContractError as err:
             return _fail(str(err), EXIT_USAGE)
+        except SizingError as err:
+            return _fail(str(err), EXIT_CAPACITY)
         except ConvergenceError as err:
             print(f"kronspin: error: {err}", file=sys.stderr)
             for value, residual in err.estimates:
@@ -359,8 +367,8 @@ def cmd_conserved(
     if spec is None:
         return _fail(err, EXIT_USAGE)
     # refuse a z coupling J * Z_SCALE that is not a finite number before
-    # anything is built: the operator terms would raise on it, and the
-    # edge-list plan takes its values unchecked
+    # anything is built: the flag's value is at fault, a usage error, though
+    # the operator would refuse it too
     if not (math.isfinite(z_scale)
             and all(math.isfinite(edge.strength * z_scale) for edge in spec.couplings)):
         return _fail(f"--debug-anisotropy must be finite and keep every J * Z_SCALE finite, "
@@ -378,15 +386,15 @@ def cmd_conserved(
         ("[H, S^2]", h, s_sq),
         ("[S_z, S^2]", s_z, s_sq),
     )
-    if n <= DENSE_SITE_CAP:
-        measured = [(name, commutator_norm(first, second)) for name, first, second in pairs]
-        method = "dense"
-        note = f"exact full-matrix Frobenius norm at n={n}{scale_note}"
-    else:
-        rng = np.random.default_rng(seed)
-        dim = h.dimension
-        measured = []
-        try:
+    try:
+        if n <= DENSE_SITE_CAP:
+            measured = [(name, commutator_norm(first, second)) for name, first, second in pairs]
+            method = "dense"
+            note = f"exact full-matrix Frobenius norm at n={n}{scale_note}"
+        else:
+            rng = np.random.default_rng(seed)
+            dim = h.dimension
+            measured = []
             for name, first, second in pairs:
                 worst = 0.0
                 for _ in range(PROBE_COUNT):
@@ -397,10 +405,12 @@ def cmd_conserved(
                     r = matvec(first, matvec(second, x)) - matvec(second, matvec(first, x))
                     worst = max(worst, float(np.linalg.norm(r)))
                 measured.append((name, worst))
-        except MemoryError:
-            return _fail(_state_alloc_message(n), EXIT_CAPACITY)
-        method = "probe"
-        note = f"matrix-free probe at n={n}, {PROBE_COUNT} unit vectors, seed {seed}{scale_note}"
+            method = "probe"
+            note = f"matrix-free probe at n={n}, {PROBE_COUNT} unit vectors, seed {seed}{scale_note}"
+    except SizingError as err:
+        return _fail(str(err), EXIT_CAPACITY)
+    except MemoryError:
+        return _fail(_state_alloc_message(n), EXIT_CAPACITY)
 
     rows = [
         {

@@ -20,6 +20,7 @@ familiar similarity P * kron(a, b) * P^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,12 +180,21 @@ def _is_scalar_identity(m: np.ndarray, tol: float) -> bool:
     return frobenius(m - m[0, 0] * np.eye(m.shape[0])) <= tol
 
 
+def _check_finite(residual: float, bound: float) -> None:
+    """Refuse with SizingError, as kron refuses an overflowing entry, a
+    residual or bound past the double range: it judges nothing, and a report
+    cannot carry it as a JSON number."""
+    if not (math.isfinite(residual) and math.isfinite(bound)):
+        raise SizingError(f"residual {residual} or its bound {bound} is past the double range")
+
+
 def _report(name, lhs, rhs, tol, note="", diagnostic=False, extras=()):
     """Judge an identity lhs == rhs relative to the operand scale: the bound
     is tol * max(1, ||rhs||_F), so rounding in large products is not a
     failure and small ones are still held to tol absolutely."""
     residual = frobenius(lhs - rhs)
     bound = tol * max(1.0, frobenius(rhs))
+    _check_finite(residual, bound)
     return ResidualReport(
         property_name=name,
         residual=residual,
@@ -231,7 +241,7 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
     as the documented commuting exceptions.  P2-P7 are judged against
     tol * max(1, ||rhs||_F); P1 and P8 against tol itself.  Raises
     SizingError when a product, or a sum or product of the operands, has an
-    entry past the double range.
+    entry past the double range, and when a residual or its bound is.
     """
     operands = [as_matrix(op) for op in operands]
 
@@ -306,6 +316,7 @@ def check_property(index: int, operands, scalars=None, tol: float = DEFAULT_TOL)
         _need(operands, 2, index)
         a, b = operands
         residual = frobenius(kron(a, b) - kron(b, a))
+        _check_finite(residual, tol)
         if residual > tol:
             return ResidualReport(PROPERTY_NAMES[8], residual, tol, True,
                                   note="products differ as claimed")

@@ -32,12 +32,15 @@ is again one, with the masks XORed, so ``commutator_norm`` gives the exact
 Frobenius norm of ab - ba in O(#masks_a #masks_b 2^n) work and one
 length-2^n row per distinct product mask, never a 2^n x 2^n matrix.
 
-The spec Hamiltonian and S^2 share one shape, a field on every site plus
-exchange couplings on a graph (S^2 is the complete graph at J = 1/2 plus
-3n/4), so their plans are written straight from the edge list by
-``_exchange_plan``, bitwise equal to compiling their terms.  A dense H,
-S_axis or S^2 is its plan scattered into a 2^n x 2^n matrix (diagonal, then
-each move's weight at (s, s ^ mask)), equal to the lifted forms bitwise.
+The spec Hamiltonian, S_z and S^2 share one shape, a constant and a field
+on every site plus exchange couplings on a graph (S_z is the field 1/2
+without edges, S^2 the complete graph at J = 1/2 plus 3n/4).  Each is an
+``ExchangeSum``, which keeps only that edge list and checks its values once:
+its plan is written straight from the edges by ``_exchange_plan``, and its
+KronTerms are built only when read, so a matvec, a dense matrix or a
+commutator norm of these operators constructs no term.  A dense H, S_axis or
+S^2 is its plan scattered into a 2^n x 2^n matrix (diagonal, then each
+move's weight at (s, s ^ mask)), equal to the lifted forms bitwise.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, from a
 seeded start vector for reproducibility.  For a real plan the start vector,
@@ -68,10 +71,10 @@ from functools import cached_property
 import numpy as np
 
 from ._common import as_matrix
-from .errors import CapacityError, ContractError, ConvergenceError, ShapeError, SiteRangeError
+from .errors import ContractError, ConvergenceError, ShapeError, SiteRangeError, SizingError
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
-from .spin_algebra import AXES, DENSE_SITE_CAP, _check_capacity, pauli
+from .spin_algebra import AXES, _check_capacity, pauli
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,11 @@ class KronTerm:
         return tuple(k for k, f in enumerate(self.factors) if f is not None)
 
 
+def _check_site_count(n_sites) -> None:
+    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
+        raise ContractError(f"n_sites must be a positive integer, got {n_sites!r}")
+
+
 @dataclass(frozen=True)
 class KronSum:
     """Sum of KronTerms over a fixed register of n_sites spin-1/2 sites."""
@@ -115,9 +123,7 @@ class KronSum:
     terms: tuple[KronTerm, ...]
 
     def __post_init__(self):
-        if (not isinstance(self.n_sites, int) or isinstance(self.n_sites, bool)
-                or self.n_sites < 1):
-            raise ContractError(f"n_sites must be a positive integer, got {self.n_sites!r}")
+        _check_site_count(self.n_sites)
         object.__setattr__(self, "terms", tuple(self.terms))
         for t, term in enumerate(self.terms):
             if not isinstance(term, KronTerm):
@@ -278,6 +284,8 @@ _FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
                (_slab_index((1, 0)), _slab_index((0, 1))))
 
 
+# finite values can sum past the double range; the plan refuses that itself
+@np.errstate(over="ignore")
 def _exchange_plan(n: int, zeeman, edges, constant: float = 0.0) -> MatvecPlan:
     """Plan of constant I + zeeman sum_k sigma_z(k) + sum over the edges
     (i, j, j_xy, j_z), distinct site pairs with i < j, of
@@ -286,9 +294,9 @@ def _exchange_plan(n: int, zeeman, edges, constant: float = 0.0) -> MatvecPlan:
 
     The diagonal takes the constant, each site's Zeeman slab, then each
     edge's zz slab; each edge with j_xy != 0 adds two flip-flop moves of
-    weight 2 j_xy.  That is ``_compile``'s order on the terms of
-    ``_exchange_sum``, so the plan equals the compiled one bitwise.  Values
-    are not checked."""
+    weight 2 j_xy.  That is ``_compile``'s order on ``ExchangeSum.terms``,
+    so the plan equals the compiled one bitwise.  Raises SizingError when a
+    diagonal entry or a move weight is past the double range."""
     # zeros plus the constant, not np.full: numpy takes zeroed memory from
     # calloc, which maps a large array afresh; np.full's malloc'd array
     # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB
@@ -307,6 +315,8 @@ def _exchange_plan(n: int, zeeman, edges, constant: float = 0.0) -> MatvecPlan:
         if j_xy:
             mask = (1 << (n - i)) | (1 << (n - j))
             moves += [(shape, dst, src, 2.0 * j_xy, mask) for dst, src in _FLIP_FLOPS]
+    if not (np.isfinite(diagonal).all() and all(math.isfinite(move[3]) for move in moves)):
+        raise SizingError(f"the {n}-site operator sums to an entry past the double range")
     diagonal.setflags(write=False)
     return MatvecPlan(diagonal, tuple(moves), (), True)
 
@@ -416,10 +426,7 @@ def matvec(op: KronSum, x) -> np.ndarray:
 def to_dense(op: KronSum) -> np.ndarray:
     """Materialize the operator; entrywise equal to the dense builder on the
     same term order (terms accumulated left to right)."""
-    if op.n_sites > DENSE_SITE_CAP:
-        raise CapacityError(
-            f"to_dense for n={op.n_sites} sites exceeds the dense cap of {DENSE_SITE_CAP}"
-        )
+    _check_capacity(op.n_sites, "to_dense")
     eye2 = np.eye(2, dtype=np.complex128)
     out = None
     for term in op.terms:
@@ -474,76 +481,85 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     return float(np.linalg.norm(acc))
 
 
-def _two_site_term(coefficient, fi, i: int, fj, j: int, n: int) -> KronTerm:
-    if i == j:
-        raise ContractError(f"two-site term needs distinct sites, got ({i}, {j})")
+def _sites_term(coefficient, sigma, sites, n: int) -> KronTerm:
+    """coefficient times ``sigma`` on each of the given 1-based sites."""
     factors = [None] * n
-    factors[i - 1] = fi
-    factors[j - 1] = fj
+    for site in sites:
+        factors[site - 1] = sigma
     return KronTerm(coefficient, tuple(factors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExchangeSum(KronSum):
-    """A KronSum of a constant, a Zeeman field and exchange edges that keeps
-    its edge list (the arguments of ``_exchange_plan``), so its plan is
-    written from the edges instead of compiled from the terms."""
+    """constant I + zeeman sum_k sigma_z(k) + sum over the edges (i, j, j_xy,
+    j_z) of j_xy (sigma_x sigma_x + sigma_y sigma_y)(i, j) + j_z sigma_z
+    sigma_z(i, j), kept as that edge list alone: the arguments of
+    ``_exchange_plan``, which writes its plan; ``zeeman`` None means no field.
+
+    The constructor refuses, with ContractError, a non-finite field, constant
+    or coupling and an edge that is not two sites 1 <= i < j <= n_sites.
+    Neither the plan nor the terms are built until first read."""
 
     zeeman: float | None
     edges: tuple
     constant: float
+
+    def __init__(self, n_sites: int, zeeman, edges, constant: float = 0.0):
+        _check_site_count(n_sites)
+        edges = tuple(edges)
+        for i, j, *_ in edges:
+            if not 1 <= i < j <= n_sites:
+                raise ContractError(f"exchange edge ({i}, {j}) is not 1 <= i < j <= {n_sites}")
+        # zeeman None, no field, is checked as 0
+        for value in (constant, zeeman or 0.0, *(v for edge in edges for v in edge[2:])):
+            if not math.isfinite(value):
+                raise ContractError(f"field, constant and couplings must be finite, got {value}")
+        # frozen: the fields are set past the refusing __setattr__
+        self.__dict__.update(n_sites=n_sites, zeeman=zeeman, edges=edges, constant=constant)
+
+    @cached_property
+    def terms(self) -> tuple[KronTerm, ...]:
+        """The operator as KronTerms in its plan's order, built on first read:
+        the constant (when nonzero), sigma_z on every site (unless ``zeeman``
+        is None), then sigma_x sigma_x, sigma_y sigma_y and sigma_z sigma_z
+        per edge."""
+        n = self.n_sites
+        terms = [KronTerm(self.constant, (None,) * n)] if self.constant else []
+        if self.zeeman is not None:
+            terms += [_sites_term(self.zeeman, pauli("z"), (k,), n) for k in range(1, n + 1)]
+        for i, j, j_xy, j_z in self.edges:
+            terms += [_sites_term(c, pauli(a), (i, j), n) for a, c in zip(AXES, (j_xy, j_xy, j_z))]
+        return tuple(terms)
 
     @cached_property
     def plan(self) -> MatvecPlan:
         return _exchange_plan(self.n_sites, self.zeeman, self.edges, self.constant)
 
 
-def _exchange_sum(n: int, zeeman, edges, constant: float = 0.0) -> ExchangeSum:
-    """``_exchange_plan``'s operator with its terms in the plan's order: the
-    constant (when nonzero), sigma_z on every site (unless ``zeeman`` is
-    None), then sigma_x sigma_x, sigma_y sigma_y and sigma_z sigma_z per edge."""
-    terms = [KronTerm(constant, (None,) * n)] if constant else []
-    if zeeman is not None:
-        sigma_z = pauli("z")
-        terms += [KronTerm(zeeman, (None,) * k + (sigma_z,) + (None,) * (n - k - 1))
-                  for k in range(n)]
-    sigmas = [pauli(axis) for axis in AXES]
-    for i, j, j_xy, j_z in edges:
-        terms += [_two_site_term(strength, sigma, i, sigma, j, n)
-                  for sigma, strength in zip(sigmas, (j_xy, j_xy, j_z))]
-    return ExchangeSum(n, tuple(terms), zeeman, tuple(edges), constant)
-
-
-def _spec_edges(spec, z_scale: float) -> tuple:
-    """A spec's couplings as exchange edges (i, j, J, J * z_scale)."""
-    return tuple((e.i, e.j, e.strength, e.strength * z_scale) for e in spec.couplings)
-
-
-def spec_to_kronsum(spec, z_scale: float = 1.0) -> KronSum:
-    """Matrix-free form of the Hamiltonian builder's general form: n Zeeman
-    terms then 3 terms per coupling edge, with the plan written from the
-    edge list, so ``build_general(spec, z_scale)`` is its plan scattered.
-    Every sigma_z sigma_z coupling is scaled by ``z_scale`` (the XXZ
-    anisotropy Delta; 1 is isotropic)."""
-    return _exchange_sum(spec.n_sites, -spec.mu_b0, _spec_edges(spec, z_scale))
+def spec_to_kronsum(spec, z_scale: float = 1.0) -> ExchangeSum:
+    """Matrix-free form of the Hamiltonian builder's general form: the field
+    -mu_b0 and one exchange edge (i, j, J, J * z_scale) per coupling, so
+    ``build_general(spec, z_scale)`` is its plan scattered.  Every sigma_z
+    sigma_z coupling is scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is
+    isotropic)."""
+    edges = [(e.i, e.j, e.strength, e.strength * z_scale) for e in spec.couplings]
+    return ExchangeSum(spec.n_sites, -spec.mu_b0, edges)
 
 
 def total_component_kronsum(axis: str, n: int) -> KronSum:
-    """Matrix-free total spin component: (1/2) sigma_axis at each site."""
-    if n < 1:
-        raise ContractError(f"site count must be >= 1, got {n}")
+    """Matrix-free total spin component: (1/2) sigma_axis at each site.  S_z
+    is the ExchangeSum of field 1/2 without edges."""
     sigma = pauli(axis)
-    return KronSum(n, tuple(KronTerm(0.5, (None,) * k + (sigma,) + (None,) * (n - k - 1))
-                            for k in range(n)))
+    if axis == "z":
+        return ExchangeSum(n, 0.5, ())
+    return KronSum(n, tuple(_sites_term(0.5, sigma, (k,), n) for k in range(1, n + 1)))
 
 
-def total_spin_squared_kronsum(n: int) -> KronSum:
+def total_spin_squared_kronsum(n: int) -> ExchangeSum:
     """Matrix-free S^2 = (3n/4) I + (1/2) sum_{i<j} sum_axis sigma_axis(i) sigma_axis(j),
     from expanding the squared component sums with sigma^2 = I."""
-    if n < 1:
-        raise ContractError(f"site count must be >= 1, got {n}")
     pairs = itertools.combinations(range(1, n + 1), 2)
-    return _exchange_sum(n, None, [(i, j, 0.5, 0.5) for i, j in pairs], 0.75 * n)
+    return ExchangeSum(n, None, [(i, j, 0.5, 0.5) for i, j in pairs], 0.75 * n)
 
 
 def _scatter_dense(plan: MatvecPlan) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -24,7 +25,7 @@ from kronspin.hamiltonian_builder import (
     save_spec,
 )
 from kronspin.kron_core import kron
-from kronspin.matfree_engine import total_component, total_spin_squared
+from kronspin.matfree_engine import KronTerm, total_component, total_spin_squared
 from kronspin.matrix_io import load_matrix, save_matrix
 from kronspin.spin_algebra import conserved_residual, pauli
 
@@ -41,8 +42,14 @@ def report_schema():
         return json.load(fh)
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
 def check_report(text: str, schema) -> dict:
-    report = json.loads(text)
+    # strict: json.loads takes NaN and Infinity by default, and jsonschema
+    # accepts a float NaN as a number
+    report = json.loads(text, parse_constant=_refuse_constant)
     jsonschema.validate(report, schema)
     return report
 
@@ -65,6 +72,23 @@ def write_spec(tmp_path, spec, name="spec.json") -> str:
 
 def h2_spec(tmp_path) -> str:
     return write_spec(tmp_path, HamiltonianSpec(2, 1.0, (CouplingEdge(1, 2, 1.0),)))
+
+
+def chain_spec(n: int, j: float = 1.0) -> HamiltonianSpec:
+    return HamiltonianSpec(n, 1.0, tuple(CouplingEdge(i, i + 1, j) for i in range(1, n)))
+
+
+def ring_spec(n: int) -> HamiltonianSpec:
+    return HamiltonianSpec(n, 1.0, tuple(CouplingEdge(i, i % n + 1, 1.0) for i in range(1, n + 1)))
+
+
+def assert_refused_as_overflow(capsys, code: int) -> None:
+    """Exit 3 with a message and no traceback, and nothing on stdout."""
+    assert code == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert "past the double range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 class TestKron:
@@ -221,6 +245,25 @@ class TestVerifyProperties:
         assert captured.out == ""
 
 
+    def test_large_finite_pair_reports_a_finite_bound(self, tmp_path, capsys, report_schema):
+        # ||rhs||_F = 1e200 for P7: squared, it would overflow to an infinite
+        # bound that passes any residual and is no JSON number
+        big = tmp_path / "big50.txt"
+        big.write_text("1 1\n1e50\n")
+        assert run(["verify-properties", str(big), str(big), "--json"]) == EXIT_OK
+        report = check_report(capsys.readouterr().out, report_schema)
+        p7 = next(r for r in report["results"] if r["name"] == "P7 mixed product")
+        assert p7["tolerance"] == pytest.approx(1e190, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tol_must_be_finite_non_negative(self, capsys, mat_pair, tol):
+        _, _, pa, pb = mat_pair
+        assert run(["verify-properties", pa, pb, "--tol", tol]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--tol must be a finite non-negative number" in captured.err
+        assert captured.out == ""
+
+
 class TestSpectrum:
     def test_dense_csv(self, tmp_path, capsys):
         spec = h2_spec(tmp_path)
@@ -298,6 +341,16 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "coupling J must be a JSON number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("engine", ["dense", "lanczos"])
+    def test_overflowing_spec_is_capacity_error(self, tmp_path, capsys, engine):
+        # every value is a finite double, but the zz diagonal sums to inf and
+        # each flip-flop weight 2J is inf
+        spec = write_spec(tmp_path, chain_spec(3, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["spectrum", spec, "--engine", engine])
+        assert_refused_as_overflow(capsys, code)
 
     def test_nonpositive_k(self, tmp_path):
         spec = h2_spec(tmp_path)
@@ -411,6 +464,18 @@ class TestConserved:
 
     def test_missing_spec_file(self, tmp_path):
         assert run(["conserved", str(tmp_path / "none.json")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("n, strength, z_scale", [(3, 1e308, "1"), (4, 1.0, "1e308"),
+                                                      (13, 1.0, "1e308")])
+    def test_overflowing_hamiltonian_is_capacity_error(self, tmp_path, capsys, n, strength,
+                                                       z_scale):
+        # finite J and J * Z_SCALE whose sums overflow, on the dense and the
+        # probe method
+        spec = write_spec(tmp_path, chain_spec(n, strength))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["conserved", spec, "--debug-anisotropy", z_scale, "--json"])
+        assert_refused_as_overflow(capsys, code)
 
     @pytest.mark.parametrize("z_scale, strength", [("nan", 1.0), ("inf", 1.0), ("-inf", 1.0),
                                                    ("1e10", 1e300)])
@@ -567,3 +632,28 @@ class TestParser:
         spec = h2_spec(tmp_path)
         assert run(["spectrum", spec, "--json"]) == EXIT_OK
         check_report(capsys.readouterr().out, report_schema)
+
+
+class TestEdgeListOperatorsBuildNoTerms:
+    """H, S_z and S^2 are read through their plans only: these requests run
+    with KronTerm construction refused and print what they print without."""
+
+    @pytest.mark.parametrize("spec, args", [
+        (ring_spec(9), ["conserved"]),
+        (chain_spec(13), ["conserved"]),
+        (chain_spec(7), ["spectrum"]),
+        (ring_spec(8), ["spectrum", "--engine", "lanczos", "--k", "2"]),
+    ], ids=["conserved-exact-ring-9", "conserved-probe-chain-13", "spectrum-dense-chain-7",
+            "spectrum-lanczos-ring-8"])
+    def test_request_runs_without_kron_terms(self, tmp_path, capsys, monkeypatch, spec, args):
+        path = write_spec(tmp_path, spec)
+        assert run(args[:1] + [path] + args[1:]) == EXIT_OK
+        expected = capsys.readouterr()
+
+        def refuse(self):
+            raise AssertionError("a KronTerm was built")
+
+        monkeypatch.setattr(KronTerm, "__post_init__", refuse)
+        assert run(args[:1] + [path] + args[1:]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected.out, expected.err)

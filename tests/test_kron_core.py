@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronspin import dense_linalg, kron_core
+from kronspin._common import frobenius
 from kronspin.errors import ShapeError, SingularityError, SizingError
 from kronspin.kron_core import (
     MAX_KRON_ELEMENTS,
@@ -349,3 +350,34 @@ class TestCheckProperty:
             warnings.simplefilter("error")
             with pytest.raises(SizingError, match="past the double range"):
                 check_property(index, [np.array(op) for op in operands], scalars=scalars)
+
+    def test_large_finite_operands_keep_a_finite_bound(self):
+        # ||rhs||_F = 1e200 overflows when squared; the bound must not become
+        # inf, which would pass any residual
+        big = np.array([[1e50]])
+        rep = check_property(7, [big, big, big, big])
+        assert rep.residual == 0.0 and rep.passed
+        assert rep.tolerance == pytest.approx(1e-10 * 1e200, rel=1e-12)
+
+    def test_overflowing_residual_is_sizing_error(self):
+        # every product is finite, but kron(a, b) - kron(b, a) has the entry
+        # 1.44e308 + 1.44e308
+        a = np.diag([1.2e154, -1.2e154])
+        b = np.diag([1.2e154, 1.2e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                check_property(8, [a, b])
+
+
+class TestFrobenius:
+    def test_finite_norm_is_the_plain_norm_bitwise(self, rng):
+        for shape in ((1, 1), (3, 5), (16, 16)):
+            a = 1e150 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            assert frobenius(a) == float(np.linalg.norm(a))
+
+    def test_norm_past_the_squared_range_is_rescaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius(np.array([[3e200, 4e200j]])) == pytest.approx(5e200, rel=1e-15)
+            assert frobenius(np.array([[1.5e308, 1.5e308]])) == float("inf")

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kronspin.errors import (
     ContractError,
     ConvergenceError,
     ShapeError,
+    SizingError,
 )
 from kronspin.hamiltonian_builder import (
     CouplingEdge,
@@ -27,7 +29,6 @@ from kronspin.matfree_engine import (
     KronSum,
     KronTerm,
     _compile,
-    _two_site_term,
     commutator_norm,
     lanczos_extremal,
     matvec,
@@ -83,9 +84,26 @@ class TestTermAndSumValidation:
         with pytest.raises(ContractError, match="n_sites"):
             total_spin_squared_kronsum(True)
 
-    def test_two_site_helper_rejects_equal_sites(self):
-        with pytest.raises(ContractError):
-            _two_site_term(1.0, pauli("x"), 2, pauli("x"), 2, 4)
+    def test_exchange_sum_rejects_bad_edge_sites(self):
+        # equal sites, a site outside 1..4, and a pair not stored as i < j
+        for i, j in ((2, 2), (0, 2), (3, 5), (3, 1)):
+            with pytest.raises(ContractError, match="exchange edge"):
+                ExchangeSum(4, None, [(i, j, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("zeeman, coupling, constant", [
+        (1.0, float("inf"), 0.0),
+        (1.0, float("nan"), 0.0),
+        (float("nan"), 1.0, 0.0),
+        (None, 1.0, float("inf")),
+    ])
+    def test_exchange_sum_rejects_non_finite_values(self, zeeman, coupling, constant):
+        with pytest.raises(ContractError, match="finite"):
+            ExchangeSum(4, zeeman, [(1, 2, 1.0, 1.0), (2, 3, coupling, coupling)], constant)
+
+    def test_infinite_anisotropy_is_refused_at_construction(self):
+        spec = HamiltonianSpec(3, 1.0, (CouplingEdge(1, 2, 1.0),))
+        with pytest.raises(ContractError, match="finite"):
+            spec_to_kronsum(spec, float("inf"))
 
     def test_dimension(self):
         assert KronSum(5, ()).dimension == 32
@@ -448,6 +466,80 @@ class TestExchangePlan:
         assert "plan" not in vars(op)
         small = spec_to_kronsum(chain_spec(4))
         assert small.plan is small.plan
+
+
+def eager_terms(n: int, zeeman, edges, constant: float = 0.0) -> tuple:
+    """Reference term tuple of an edge-list operator, built loop by loop: the
+    constant (when nonzero), sigma_z per site (unless zeeman is None), then
+    xx, yy and zz per edge."""
+    terms = [KronTerm(constant, (None,) * n)] if constant else []
+    if zeeman is not None:
+        terms += [KronTerm(zeeman, (None,) * k + (pauli("z"),) + (None,) * (n - k - 1))
+                  for k in range(n)]
+    for i, j, j_xy, j_z in edges:
+        for axis, strength in zip("xyz", (j_xy, j_xy, j_z)):
+            factors = [None] * n
+            factors[i - 1] = factors[j - 1] = pauli(axis)
+            terms.append(KronTerm(strength, tuple(factors)))
+    return tuple(terms)
+
+
+def assert_terms_identical(got, want):
+    assert len(got) == len(want)
+    for term, wanted in zip(got, want):
+        assert repr(term.coefficient) == repr(wanted.coefficient)
+        assert len(term.factors) == len(wanted.factors)
+        for f, g in zip(term.factors, wanted.factors):
+            assert (f is None) == (g is None)
+            assert f is None or (f.tobytes() == g.tobytes() and not f.flags.writeable)
+
+
+class TestExchangeSum:
+    """H, S_z and S^2 keep only their edge list; terms and plan are built on
+    first read."""
+
+    def test_construction_builds_neither_plan_nor_terms(self):
+        op = spec_to_kronsum(HamiltonianSpec(56, 1.0, (CouplingEdge(1, 2, 1.0),)))
+        for built in (op, total_spin_squared_kronsum(56), total_component_kronsum("z", 56)):
+            assert "plan" not in vars(built) and "terms" not in vars(built)
+        assert len(op.terms) == 56 + 3
+        assert op.terms is op.terms
+        assert "plan" not in vars(op)
+
+    @pytest.mark.parametrize("z_scale", [1.0, 2.0, -0.7, 0.0])
+    def test_spec_terms_equal_the_eager_tuple(self, z_scale):
+        rng = np.random.default_rng(1313)
+        for n in range(1, 8):
+            spec = random_spec(rng, n)
+            edges = [(e.i, e.j, e.strength, e.strength * z_scale) for e in spec.couplings]
+            assert_terms_identical(spec_to_kronsum(spec, z_scale).terms,
+                                   eager_terms(n, -spec.mu_b0, edges))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_spin_operators_terms_equal_the_eager_tuple(self, n):
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        assert_terms_identical(total_spin_squared_kronsum(n).terms,
+                               eager_terms(n, None, [(i, j, 0.5, 0.5) for i, j in pairs], 0.75 * n))
+        assert_terms_identical(total_component_kronsum("z", n).terms, eager_terms(n, 0.5, ()))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_spin_z_plan_equals_compiled_terms_bitwise(self, n):
+        op = total_component_kronsum("z", n)
+        assert isinstance(op, ExchangeSum)
+        assert_plans_bitwise_equal(op.plan, _compile(op))
+
+    def test_overflowing_sums_are_refused_by_the_plan(self):
+        # finite couplings whose zz diagonal and flip-flop weight 2J overflow
+        huge = chain_spec(3, j=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                spec_to_kronsum(huge).plan
+            with pytest.raises(SizingError, match="past the double range"):
+                build_general(huge)
+            # the weight alone: two sites, one edge, diagonal +-1e308
+            with pytest.raises(SizingError, match="past the double range"):
+                spec_to_kronsum(HamiltonianSpec(2, 0.0, (CouplingEdge(1, 2, 1e308),))).plan
 
 
 class TestLanczos:
