@@ -16,6 +16,14 @@ each remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
 O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per coupling
 edge, independent of the number of sites per term; scratch is one
 length-2^n vector beside the result (three when a term spans three sites).
+When every move has one weight (uniform chains and rings, S^2, S_x) that
+scratch holds x times the weight, computed once, and each move is a single
+add; otherwise it holds each move's weighted slab in turn.  A slab whose
+contiguous run is shorter than 8 amplitudes (the last sites of a chain, most
+S^2 edges) is iterated along its longest axis instead, so numpy's inner loop
+is long; the plan keeps these per-move facts after the first matvec.  Each
+amplitude gets the same multiply and the same adds in plan order either way,
+so the result is the plain per-move loop's bit for bit.
 
 A plan is real when its diagonal is float64, every move weight is a real
 float and no fallback terms remain: every spec Hamiltonian (any XXZ
@@ -174,13 +182,60 @@ class MatvecPlan:
 
     @property
     def amplitudes_touched(self) -> int:
-        """Amplitudes written by one matvec: the diagonal multiply, each
-        move's slab, and per fallback term one pass per active site plus the
-        coefficient pass."""
+        """Amplitudes written into the result by one matvec: the diagonal
+        multiply, each move's slab, and per fallback term one pass per active
+        site plus the coefficient pass.  Writes into scratch (the scaled copy
+        or the weighted slab) are not counted."""
         dim = self.diagonal.size
         slabs = sum(dim >> (len(shape) // 2) for shape, *_ in self.moves)
         passes = sum(len(t.active_slots) + 1 for t in self.fallback)
         return dim + slabs + dim * passes
+
+    @property
+    def norm_bound(self) -> float:
+        """Gershgorin bound on every row's absolute sum, hence on the 2-norm
+        of a Hermitian operator: max |diagonal|, plus each move's |weight|
+        (a move puts at most one entry in a row), plus per fallback term
+        |coefficient| times the largest absolute row sum of each active
+        factor.  inf when that sum is past the double range."""
+        with np.errstate(over="ignore"):
+            bound = float(np.max(np.abs(self.diagonal)))
+            bound += float(np.sum(np.abs([move[3] for move in self.moves])))
+            for term in self.fallback:
+                part = abs(term.coefficient)
+                for slot in term.active_slots:
+                    part *= float(np.max(np.sum(np.abs(term.factors[slot]), axis=1)))
+                bound += part
+        return bound
+
+    @cached_property
+    def shared_weight(self) -> float | complex | None:
+        """The weight every move carries, or None when two weights differ
+        (or there are no moves); read on the first matvec and kept.  Equal
+        means the same double in each part, signed zeros told apart."""
+        weights = {repr(complex(move[3])) for move in self.moves}
+        return self.moves[0][3] if len(weights) == 1 else None
+
+    @cached_property
+    def sweeps(self) -> tuple:
+        """Each move as ``(shape, dst, src, weight, axes)``, derived on the
+        first matvec and kept.  ``axes`` is None when the move's slab view
+        ends in a contiguous run of at least 8 amplitudes (one 64-byte cache
+        line of float64); otherwise it moves the slab's longest axis last,
+        so the matvec's inner loop runs along it rather than over runs of
+        1-4 amplitudes, the other axes keeping their order."""
+        sweeps = []
+        for shape, dst, src, weight, _ in self.moves:
+            # the slab view keeps every other axis of the reshaped state;
+            # of equal lengths the later (smaller stride) axis is longest
+            lengths = shape[::2]
+            order = range(len(lengths))
+            longest = max(order, key=lambda a: (lengths[a], a))
+            axes = None
+            if lengths[-1] < 8 and longest != order[-1]:
+                axes = tuple(a for a in order if a != longest) + (longest,)
+            sweeps.append((shape, dst, src, weight, axes))
+        return tuple(sweeps)
 
 
 def _slab_shape(slots, n: int) -> tuple[int, ...]:
@@ -392,6 +447,12 @@ def matvec(op: KronSum, x) -> np.ndarray:
     terms with three or more active sites through two ping-pong scratch
     buffers.  A coupling edge costs two quarter-length updates.
 
+    When every move has the same weight (``MatvecPlan.shared_weight``) x
+    is scaled by it once and each move adds a slab of that copy; otherwise
+    each move first writes its weighted slab into one reused scratch row.  A
+    slab with runs shorter than 8 amplitudes is iterated along its longest
+    axis (``MatvecPlan.sweeps``).  Neither choice changes a bit of y.
+
     When the plan is real and ``x`` is float64 the result is float64, equal
     to the real part of the complex128 result on the same state; in every
     other case ``x`` is converted to and the result returned in complex128.
@@ -404,9 +465,24 @@ def matvec(op: KronSum, x) -> np.ndarray:
     if x.shape != (dim,):
         raise ShapeError(f"state length {x.shape} does not match dimension {dim}")
     y = plan.diagonal * x
-    for shape, dst, src, weight, _ in plan.moves:
+    shared = plan.shared_weight
+    if shared is None:
+        source = x
+        scratch = np.empty_like(x)
+    else:
+        source = shared * x
+    for shape, dst, src, weight, axes in plan.sweeps:
         out = y.reshape(shape)[dst]
-        out += weight * x.reshape(shape)[src]
+        part = source.reshape(shape)[src]
+        if axes:
+            out = out.transpose(axes)
+            part = part.transpose(axes)
+        if shared is None:
+            weighted = scratch[: part.size].reshape(part.shape)
+            part = np.multiply(weight, part, out=weighted, order="C")
+        # order="C" keeps the axis order given, where numpy would otherwise
+        # iterate the smallest stride innermost
+        np.add(out, part, out=out, order="C")
     if plan.fallback:
         n = op.n_sites
         ping = np.empty(dim, dtype=np.complex128)
@@ -662,8 +738,10 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     ``max_iter`` bounds the Lanczos steps (one matvec each) of the first
     pass and, separately, of each verification pass; the default is
     max(300, 3k).  Deterministic for a fixed seed.  Raises ConvergenceError
-    (carrying the best estimates) when a budget runs out, ContractError if
-    the operator fails a random-vector Hermitian check.
+    (carrying the best estimates, its message naming the first pass or
+    verification pass p of k) when a budget runs out, ContractError if the
+    operator fails a random-vector Hermitian check, and SizingError up front
+    when twice the plan's ``norm_bound``, squared, is past the double range.
     """
     if which not in ("lowest", "highest"):
         raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
@@ -674,6 +752,14 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         max_iter = max(300, 3 * k)
     if max_iter < k:
         raise ContractError(f"max_iter {max_iter} cannot deliver k = {k} values")
+    # the norms below square the entries of op x, each at most the bound in
+    # size, and of residuals op v - theta v, at most twice it
+    bound = op.plan.norm_bound
+    if not math.isfinite(4.0 * bound * bound):
+        raise SizingError(
+            f"the operator's norm bound {bound:.3e} is too large for Lanczos: the squared "
+            "norms of its vectors would be past the double range"
+        )
     rng = np.random.default_rng(seed)
     _hermitian_sample_check(op, rng)
 
@@ -767,9 +853,10 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
                     continue
                 # a bound can be optimistic: keep iterating within the budget
             if spent == max_iter:
+                budget = "the first pass" if passes == 0 else f"verification pass {passes} of {k}"
                 raise ConvergenceError(
-                    f"Lanczos did not converge in {spent} iterations (tol {tol}, "
-                    f"norm estimate {norm_est:.3e})",
+                    f"Lanczos did not converge: {budget} spent all {spent} of its steps "
+                    f"(tol {tol}, norm estimate {norm_est:.3e})",
                     estimates=[(float(t), float(r)) for t, r in zip(values, residuals)],
                 )
         if m == rows:

@@ -352,6 +352,16 @@ class TestSpectrum:
             code = run(["spectrum", spec, "--engine", engine])
         assert_refused_as_overflow(capsys, code)
 
+    def test_lanczos_refuses_norms_past_the_double_range(self, tmp_path, capsys):
+        # the plan is finite (the dense engine answers), but Lanczos would
+        # square entries near 1e160
+        spec = write_spec(tmp_path, chain_spec(4, 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["spectrum", spec, "--engine", "lanczos"])
+        assert_refused_as_overflow(capsys, code)
+        assert run(["spectrum", spec]) == EXIT_OK
+
     def test_nonpositive_k(self, tmp_path):
         spec = h2_spec(tmp_path)
         assert run(["spectrum", spec, "--k", "0"]) == EXIT_USAGE

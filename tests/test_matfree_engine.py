@@ -344,6 +344,123 @@ class TestRealPlan:
         assert matvec(h, x).dtype == np.complex128
 
 
+def reference_matvec(op: KronSum, x) -> np.ndarray:
+    """The plain per-move loop: y = diagonal * x, then
+    ``out += weight * x_view[src]`` for each move in plan order, then the
+    fallback terms site by site, in the dtype ``matvec`` picks."""
+    plan = op.plan
+    x = np.asarray(x)
+    real = plan.real and x.dtype == np.float64
+    x = np.ascontiguousarray(x, dtype=np.float64 if real else np.complex128)
+    y = plan.diagonal * x
+    for shape, dst, src, weight, _ in plan.moves:
+        out = y.reshape(shape)[dst]
+        out += weight * x.reshape(shape)[src]
+    for term in plan.fallback:
+        src = x
+        for slot in term.active_slots:
+            dst = np.empty(op.dimension, dtype=np.complex128)
+            matfree_engine._apply_site(src, term.factors[slot], slot, op.n_sites, dst)
+            src = dst
+        y += src * term.coefficient
+    return y
+
+
+def oracle_state(rng, n: int, complex_state: bool = False) -> np.ndarray:
+    """Amplitudes over 60 binary orders of magnitude, with signed zeros."""
+    def part():
+        x = rng.standard_normal(1 << n) * np.exp2(rng.integers(-30, 30, 1 << n))
+        x[rng.random(1 << n) < 0.1] = 0.0
+        x[rng.random(1 << n) < 0.1] = -0.0
+        return x
+
+    return part() + 1j * part() if complex_state else part()
+
+
+def assert_matvec_matches_reference(op, x):
+    got, want = matvec(op, x), reference_matvec(op, x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMatvecOracle:
+    """``matvec`` scales a shared weight once and runs short-run slabs along
+    their longest axis; each amplitude still gets the per-move loop's
+    multiply and adds, in plan order, so the results are equal byte for
+    byte."""
+
+    @staticmethod
+    def random_exchange_sums(rng, n):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for kind in ("uniform", "jittered", "signed", "some zero"):
+            take = rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]
+            edges = []
+            for p in sorted(take):
+                j = {"uniform": 1.25, "jittered": 1.25 * (1 + 0.2 * rng.uniform(-1, 1)),
+                     "signed": rng.uniform(-2, 2),
+                     "some zero": 0.0 if rng.random() < 0.3 else -0.75}[kind]
+                edges.append(CouplingEdge(*pairs[p], float(j)))
+            mu_b0 = 0.0 if kind == "some zero" else rng.uniform(-2, 2)
+            z_scale = float(rng.choice([1.0, 2.0, -0.7, 0.0]))
+            yield spec_to_kronsum(HamiltonianSpec(n, mu_b0, tuple(edges)), z_scale)
+        # no field at all, not a zero one
+        yield ExchangeSum(n, None, [(i, j, -0.5, 0.25) for i, j in pairs[: 2 * n]])
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_exchange_sums(self, n):
+        rng = np.random.default_rng(1400 + n)
+        for op in self.random_exchange_sums(rng, n):
+            assert_matvec_matches_reference(op, oracle_state(rng, n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_spin_operators(self, n):
+        rng = np.random.default_rng(1500 + n)
+        for op in (total_spin_squared_kronsum(n), total_component_kronsum("x", n),
+                   total_component_kronsum("y", n)):
+            assert_matvec_matches_reference(op, oracle_state(rng, n))
+            assert_matvec_matches_reference(op, oracle_state(rng, n, complex_state=True))
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    def test_complex_state_on_a_real_plan(self, n):
+        rng = np.random.default_rng(1600 + n)
+        for op in self.random_exchange_sums(rng, n):
+            assert op.plan.real
+            assert_matvec_matches_reference(op, oracle_state(rng, n, complex_state=True))
+
+    def test_three_site_fallback_term(self, rng):
+        op = mixed_kronsum(rng, 3)
+        assert op.plan.fallback
+        for complex_state in (False, True):
+            assert_matvec_matches_reference(op, oracle_state(rng, 3, complex_state))
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_chain_ending_in_short_runs(self, jitter):
+        # the last three edges of a 12-site chain have contiguous runs of
+        # 4, 2 and 1 amplitudes; the rest run 8 or more
+        rng = np.random.default_rng(1700)
+        n = 12
+        edges = tuple(CouplingEdge(k, k + 1, 1.0 + jitter * rng.uniform(-1, 1))
+                      for k in range(1, n))
+        op = spec_to_kronsum(HamiltonianSpec(n, 0.5, edges))
+        reordered = [axes is not None for *_, axes in op.plan.sweeps]
+        assert reordered == [False] * 16 + [True] * 6
+        assert (op.plan.shared_weight is None) == bool(jitter)
+        for complex_state in (False, True):
+            assert_matvec_matches_reference(op, oracle_state(rng, n, complex_state))
+
+    def test_shared_weight(self):
+        assert spec_to_kronsum(chain_spec(5, j=0.75)).plan.shared_weight == 1.5
+        assert total_spin_squared_kronsum(6).plan.shared_weight == 1.0
+        assert total_component_kronsum("x", 4).plan.shared_weight == 0.5
+        assert total_component_kronsum("y", 4).plan.shared_weight is None
+        assert total_component_kronsum("z", 4).plan.shared_weight is None  # no moves
+        # signed zeros are told apart: these multiply x differently
+        plan = KronSum(2, (KronTerm(complex(0.0, 1.0), (pauli("x"), None)),
+                           KronTerm(complex(-0.0, 1.0), (None, pauli("x"))))).plan
+        assert [repr(complex(move[3])) for move in plan.moves] == ["1j", "1j", "(-0+1j)", "(-0+1j)"]
+        assert plan.shared_weight is None
+
+
 def two_site_kronsum(rng, n: int) -> KronSum:
     """mixed_kronsum without its terms on three sites."""
     op = mixed_kronsum(rng, n)
@@ -682,6 +799,46 @@ class TestLanczos:
         assert len(estimates) >= 1
         value, residual = estimates[0]
         assert np.isfinite(value) and residual > 0
+
+    def test_non_convergence_names_the_first_pass(self):
+        op = spec_to_kronsum(chain_spec(6))
+        with pytest.raises(ConvergenceError, match="the first pass spent all 8 of its steps"):
+            lanczos_extremal(op, which="lowest", k=1, tol=1e-30, max_iter=8)
+
+    def test_non_convergence_names_the_verification_pass(self):
+        # with 44 steps the first pass certifies k = 2 values (its check at
+        # step 40), but the first verification pass needs more
+        op = spec_to_kronsum(chain_spec(8))
+        with pytest.raises(ConvergenceError,
+                           match="verification pass 1 of 2 spent all 44 of its steps"):
+            lanczos_extremal(op, which="lowest", k=2, max_iter=44, seed=1)
+
+    @pytest.mark.parametrize("j", [1e160, 1e154])
+    def test_norms_past_the_double_range_are_refused(self, j):
+        # the plan is finite, but squaring entries of op x near 1e160
+        # overflows; refused before any matvec
+        op = spec_to_kronsum(chain_spec(4, j=j))
+        assert np.isfinite(op.plan.diagonal).all()
+        with pytest.raises(SizingError, match="norm bound"):
+            lanczos_extremal(op)
+
+    @pytest.mark.parametrize("j", [1e150, -1e150, 1e-150])
+    def test_large_and_small_finite_couplings_answer(self, j):
+        spec = chain_spec(4, j=j)
+        dense = eigh(build_general(spec), want_vectors=False).eigenvalues
+        s = lanczos_extremal(spec_to_kronsum(spec), which="lowest", k=2, seed=1)
+        scale = np.max(np.abs(dense))
+        assert np.allclose(s.eigenvalues, dense[:2], rtol=0, atol=1e-8 * scale)
+
+    def test_norm_bound(self, rng):
+        # a Gershgorin bound: at least the spectral radius, exact for a
+        # diagonal plan
+        assert spec_to_kronsum(HamiltonianSpec(3, 2.0, ())).plan.norm_bound == 6.0
+        plan = spec_to_kronsum(chain_spec(4, j=0.5)).plan
+        assert plan.norm_bound == np.max(np.abs(plan.diagonal)) + 6 * 1.0
+        for op in (hermitian_kronsum(rng, 3), spec_to_kronsum(random_spec(rng, 5))):
+            values = np.linalg.eigvalsh(to_dense(op))
+            assert np.max(np.abs(values)) <= op.plan.norm_bound * (1 + 1e-12)
 
 
 def traced_peak(call) -> int:
