@@ -12,7 +12,9 @@ residual over seeded real unit probe vectors (method ``probe``).
 
 Exit codes are stable: 0 ok, 1 checks ran but at least one failed, 2 usage or
 parse error, 3 capacity/allocation, 4 engine mismatch (dense request above
-the dense cap), 5 iterative non-convergence.  ``--json`` emits a run report
+the dense cap), 5 iterative non-convergence.  A command returns 0 or 1, or
+refuses its own flag values; ``run`` maps every error the library raises to
+its code, in one table.  ``--json`` emits a run report
 validating against docs/run_report.schema.json; every result row names its
 check and the tolerance it was judged against (null for pure measurements).
 The CLI is batch-only; dense spectra come from LAPACK through ``eigh`` and
@@ -152,15 +154,9 @@ def cmd_kron(file_a: str, file_b: str, out: str | None = None, as_json: bool = F
     started = time.perf_counter()
     if as_json and out is None:
         return _fail("--json needs --out for kron (matrices are not embedded in reports)", EXIT_USAGE)
-    try:
-        a = load_matrix(file_a)
-        b = load_matrix(file_b)
-    except (ParseError, OSError) as err:
-        return _fail(str(err), EXIT_USAGE)
-    try:
-        product = kron_core.kron(a, b)
-    except SizingError as err:
-        return _fail(str(err), EXIT_CAPACITY)
+    a = load_matrix(file_a)
+    b = load_matrix(file_b)
+    product = kron_core.kron(a, b)
     summary = (
         f"({a.shape[0]} x {a.shape[1]}) kron ({b.shape[0]} x {b.shape[1]}) = "
         f"({product.shape[0]} x {product.shape[1]}); dimensions multiply factorwise"
@@ -196,11 +192,8 @@ def cmd_verify_properties(
     # first as an overflow
     if not (math.isfinite(tol) and tol >= 0):
         return _fail(f"--tol must be a finite non-negative number, got {tol!r}", EXIT_USAGE)
-    try:
-        a = load_matrix(file_a)
-        b = load_matrix(file_b)
-    except (ParseError, OSError) as err:
-        return _fail(str(err), EXIT_USAGE)
+    a = load_matrix(file_a)
+    b = load_matrix(file_b)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1] or a.shape != b.shape:
         return _fail(
             f"property suite needs square matrices of equal dimension, got "
@@ -263,15 +256,11 @@ def _spec_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_spec_or_none(path: str):
+def _load_spec(path: str) -> HamiltonianSpec:
     try:
-        return load_spec(path), None
-    except (ContractError, SiteRangeError, ShapeError) as err:
-        return None, str(err)
+        return load_spec(path)
     except jsonlib.JSONDecodeError as err:
-        return None, f"{path}: invalid JSON: {err}"
-    except OSError as err:
-        return None, str(err)
+        raise ParseError(f"{path}: invalid JSON: {err}") from None
 
 
 def cmd_spectrum(
@@ -285,24 +274,13 @@ def cmd_spectrum(
     seed: int = 0,
 ) -> int:
     started = time.perf_counter()
-    spec, err = _load_spec_or_none(spec_path)
-    if spec is None:
-        return _fail(err, EXIT_USAGE)
+    spec = _load_spec(spec_path)
     if k is not None and k < 1:
         return _fail(f"--k must be >= 1, got {k}", EXIT_USAGE)
     sha = _spec_sha256(spec_path)
 
     if engine == "dense":
-        try:
-            h = build_general(spec)
-        except CapacityError as err:
-            return _fail(
-                f"{err}; rerun with --engine lanczos for matrix-free extremal eigenvalues",
-                EXIT_ENGINE,
-            )
-        except SizingError as err:
-            return _fail(str(err), EXIT_CAPACITY)
-        spectrum = eigh(h, want_vectors=False)
+        spectrum = eigh(build_general(spec), want_vectors=False)
         values = spectrum.eigenvalues
         if k is not None:
             take = min(k, values.shape[0])
@@ -317,15 +295,6 @@ def cmd_spectrum(
         want = 1 if k is None else k
         try:
             spectrum = lanczos_extremal(op, which=which, k=want, tol=tol, seed=seed)
-        except ContractError as err:
-            return _fail(str(err), EXIT_USAGE)
-        except SizingError as err:
-            return _fail(str(err), EXIT_CAPACITY)
-        except ConvergenceError as err:
-            print(f"kronspin: error: {err}", file=sys.stderr)
-            for value, residual in err.estimates:
-                print(f"kronspin: best estimate {value!r} (residual {residual:.3e})", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
         except MemoryError:
             return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
         values = spectrum.eigenvalues
@@ -363,14 +332,14 @@ def cmd_conserved(
     as_json: bool = False,
 ) -> int:
     started = time.perf_counter()
-    spec, err = _load_spec_or_none(spec_path)
-    if spec is None:
-        return _fail(err, EXIT_USAGE)
-    # refuse a z coupling J * Z_SCALE that is not a finite number before
-    # anything is built: the flag's value is at fault, a usage error, though
-    # the operator would refuse it too
-    if not (math.isfinite(z_scale)
-            and all(math.isfinite(edge.strength * z_scale) for edge in spec.couplings)):
+    spec = _load_spec(spec_path)
+    # max(1, |mu_b0|, |J|, |J * Z_SCALE|): a commutator with H rounds
+    # relative to H's largest field or coupling
+    h_scale = max([1.0, abs(spec.mu_b0)] + [abs(e.strength) * max(1.0, abs(z_scale)) for e in spec.couplings])
+    # refuse a z coupling J * Z_SCALE that is not a finite number (h_scale is
+    # then inf) before anything is built: the flag's value is at fault, a
+    # usage error, though the operator would refuse it too
+    if not (math.isfinite(z_scale) and math.isfinite(h_scale)):
         return _fail(f"--debug-anisotropy must be finite and keep every J * Z_SCALE finite, "
                      f"got {z_scale!r}", EXIT_USAGE)
     n = spec.n_sites
@@ -382,46 +351,50 @@ def cmd_conserved(
     s_z = total_component_kronsum("z", n)
     s_sq = total_spin_squared_kronsum(n)
     pairs = (
-        ("[H, S_z]", h, s_z),
-        ("[H, S^2]", h, s_sq),
-        ("[S_z, S^2]", s_z, s_sq),
+        ("[H, S_z]", h, s_z, tol * h_scale),
+        ("[H, S^2]", h, s_sq, tol * h_scale),
+        ("[S_z, S^2]", s_z, s_sq, tol),
     )
     try:
         if n <= DENSE_SITE_CAP:
-            measured = [(name, commutator_norm(first, second)) for name, first, second in pairs]
+            measured = [commutator_norm(first, second) for _, first, second, _ in pairs]
             method = "dense"
             note = f"exact full-matrix Frobenius norm at n={n}{scale_note}"
         else:
             rng = np.random.default_rng(seed)
             dim = h.dimension
             measured = []
-            for name, first, second in pairs:
-                worst = 0.0
-                for _ in range(PROBE_COUNT):
-                    # H, S_z and S^2 compile to real plans, so a real probe
-                    # keeps every matvec in float64
-                    x = rng.standard_normal(dim)
-                    x /= np.linalg.norm(x)
-                    r = matvec(first, matvec(second, x)) - matvec(second, matvec(first, x))
-                    worst = max(worst, float(np.linalg.norm(r)))
-                measured.append((name, worst))
+            # an overflow in a matvec or in the squared norm of a residual
+            # leaves that residual inf or NaN, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _, first, second, _ in pairs:
+                    worst = 0.0
+                    for _ in range(PROBE_COUNT):
+                        # H, S_z and S^2 compile to real plans, so a real probe
+                        # keeps every matvec in float64
+                        x = rng.standard_normal(dim)
+                        x /= np.linalg.norm(x)
+                        r = matvec(first, matvec(second, x)) - matvec(second, matvec(first, x))
+                        # np.maximum keeps a NaN that max() could drop
+                        worst = np.maximum(worst, np.linalg.norm(r))
+                    measured.append(float(worst))
+            if not all(map(math.isfinite, measured)):
+                raise SizingError(f"a probe residual at n={n} overflows past the double range")
             method = "probe"
             note = f"matrix-free probe at n={n}, {PROBE_COUNT} unit vectors, seed {seed}{scale_note}"
-    except SizingError as err:
-        return _fail(str(err), EXIT_CAPACITY)
     except MemoryError:
         return _fail(_state_alloc_message(n), EXIT_CAPACITY)
 
     rows = [
         {
             "name": f"{name} commutator residual",
-            "tolerance": tol,
+            "tolerance": bound,
             "residual": float(value),
-            "passed": bool(value < tol),
+            "passed": bool(value < bound),
             "method": method,
             "note": note,
         }
-        for name, value in measured
+        for (name, _, _, bound), value in zip(pairs, measured)
     ]
     ok = _aggregate(rows)
     if as_json:
@@ -448,14 +421,12 @@ def _parse_n_list(text: str):
 
 
 def _bench_spec(n: int, topology: str) -> HamiltonianSpec:
-    if topology == "chain":
-        edges = [CouplingEdge(i, i + 1, 1.0) for i in range(1, n)]
-    elif topology == "ring":
-        edges = [CouplingEdge(i, i + 1, 1.0) for i in range(1, n)]
-        if n > 2:
-            edges.append(CouplingEdge(1, n, 1.0))
-    else:  # complete graph
+    if topology == "all":  # complete graph
         edges = [CouplingEdge(i, j, 1.0) for i in range(1, n) for j in range(i + 1, n + 1)]
+    else:
+        edges = [CouplingEdge(i, i + 1, 1.0) for i in range(1, n)]
+        if topology == "ring" and n > 2:
+            edges.append(CouplingEdge(1, n, 1.0))
     return HamiltonianSpec(n, 1.0, tuple(edges))
 
 
@@ -598,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conserved", help="commutator residuals of S_z and S^2 with H")
     p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=CONSERVED_TOL, help="pass threshold")
+    p.add_argument("--tol", type=float, default=CONSERVED_TOL,
+                   help="pass threshold, times max(1, |mu_b0|, |J|, |J * Z_SCALE|) for [H, .] rows")
     p.add_argument("--seed", type=int, default=0, help="probe-vector seed (matrix-free path)")
     p.add_argument(
         "--debug-anisotropy",
@@ -631,8 +603,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command; the except clauses below are the one table from the
+    library's errors to exit codes, each printed as ``kronspin: error: ...``."""
     args = _parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConvergenceError as err:
+        code = _fail(str(err), EXIT_NO_CONVERGENCE)
+        for value, residual in err.estimates:
+            print(f"kronspin: best estimate {value!r} (residual {residual:.3e})", file=sys.stderr)
+        return code
+    except CapacityError as err:
+        # only the dense spectrum builds a matrix that the site cap refuses
+        return _fail(f"{err}; rerun with --engine lanczos for matrix-free extremal eigenvalues",
+                     EXIT_ENGINE)
+    except SizingError as err:
+        return _fail(str(err), EXIT_CAPACITY)
+    except (ParseError, ContractError, SiteRangeError, ShapeError, OSError) as err:
+        return _fail(str(err), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import DEFAULT_TOL, as_matrix, as_square, frobenius
-from .errors import ContractError, ShapeError, SingularityError
+from .errors import ContractError, ShapeError, SingularityError, SizingError
 
 # Reciprocal 1-norm condition number below which a matrix counts as singular.
 # Scale-invariant: c * A gives the same value for every nonzero c.
@@ -106,19 +106,27 @@ def _canonical_order(values: np.ndarray, vectors: np.ndarray | None):
 
 
 def eigh(a, want_vectors: bool = True) -> Spectrum:
-    """Full spectrum of a Hermitian matrix via LAPACK (numpy.linalg)."""
+    """Full spectrum of a Hermitian matrix via LAPACK (numpy.linalg).
+
+    Raises SizingError when an entry of a + a^H, which LAPACK would meet as
+    a failure to converge, or an eigenvalue is past the double range."""
     a = as_square(a)
     n = a.shape[0]
     if frobenius(a - a.conj().T) > HERMITICITY_RTOL * max(frobenius(a), 1.0):
         raise ContractError(
             f"input is not Hermitian to {HERMITICITY_RTOL} relative tolerance"
         )
-    herm = 0.5 * (a + a.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = 0.5 * (a + a.conj().T)
+    if not np.isfinite(herm).all():
+        raise SizingError(f"the {n}x{n} matrix plus its adjoint has an entry past the double range")
     w = herm.real if np.count_nonzero(herm.imag) == 0 else herm
     if want_vectors:
         values, v = np.linalg.eigh(w)
     else:
         values, v = np.linalg.eigvalsh(w), None
+    if not np.isfinite(values).all():
+        raise SizingError(f"an eigenvalue of the {n}x{n} matrix is past the double range")
     values, v = _canonical_order(values, v)
     if v is not None:
         v = np.ascontiguousarray(v, dtype=np.complex128)

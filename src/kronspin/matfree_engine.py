@@ -78,7 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._common import as_matrix
+from ._common import as_matrix, frobenius
 from .errors import ContractError, ConvergenceError, ShapeError, SiteRangeError, SizingError
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
@@ -530,7 +530,8 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     O(#masks_a #masks_b 2^n), memory one length-2^n row per distinct product
     mask.  A real and a complex operand compute in complex128.  Raises
     ContractError when the site counts differ or a term of either operand
-    acts on three or more sites.
+    acts on three or more sites, and SizingError when a product of
+    coefficients, or the norm itself, is past the double range.
     """
     if a.n_sites != b.n_sites:
         raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
@@ -547,14 +548,20 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
                    dtype=np.result_type(outer.coefficients, inner.coefficients))
     shifted = states ^ outer.masks[:, None]  # row k: s ^ outer.masks[k]
     c = outer.coefficients
-    for j, beta in enumerate(inner.masks):
-        d = inner.coefficients[j]
-        term = c * d[shifted]
-        term -= d * c[:, states ^ beta]
-        # the masks alpha ^ beta are distinct for one beta, so no row of acc
-        # is named twice
-        acc[row_of[:, j]] += term
-    return float(np.linalg.norm(acc))
+    # an overflow leaves an inf or NaN in acc, and so in the norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, beta in enumerate(inner.masks):
+            d = inner.coefficients[j]
+            term = c * d[shifted]
+            term -= d * c[:, states ^ beta]
+            # the masks alpha ^ beta are distinct for one beta, so no row of
+            # acc is named twice
+            acc[row_of[:, j]] += term
+        norm = frobenius(acc)
+    if not math.isfinite(norm):
+        raise SizingError(f"the commutator of two {a.n_sites}-site operators has a coefficient "
+                          "or norm past the double range")
+    return norm
 
 
 def _sites_term(coefficient, sigma, sites, n: int) -> KronTerm:

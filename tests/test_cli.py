@@ -18,6 +18,15 @@ from kronspin.cli import (
     build_parser,
     run,
 )
+from kronspin.errors import (
+    CapacityError,
+    ContractError,
+    ConvergenceError,
+    ParseError,
+    ShapeError,
+    SiteRangeError,
+    SizingError,
+)
 from kronspin.hamiltonian_builder import (
     CouplingEdge,
     HamiltonianSpec,
@@ -118,6 +127,14 @@ class TestKron:
         _, _, pa, pb = mat_pair
         assert run(["kron", pa, pb, "--json"]) == EXIT_USAGE
         assert "kronspin: error:" in capsys.readouterr().err
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, mat_pair):
+        _, _, pa, pb = mat_pair
+        out = tmp_path / "missing" / "prod.txt"
+        assert run(["kron", pa, pb, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"kronspin: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert captured.out == ""
 
     def test_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
@@ -362,6 +379,28 @@ class TestSpectrum:
         assert_refused_as_overflow(capsys, code)
         assert run(["spectrum", spec]) == EXIT_OK
 
+    def test_symmetrization_overflow_is_capacity_error(self, tmp_path, capsys):
+        # H is finite at J = 6e307, but a + a^H in eigh is not; at J = 3e307
+        # both are, and the spectrum is the unit-J one, {-4, -4, 0, 0, 2, 2,
+        # 2, 2}, scaled (the field's shifts are lost in rounding)
+        spec = write_spec(tmp_path, chain_spec(3, 6e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["spectrum", spec])
+        assert_refused_as_overflow(capsys, code)
+        assert run(["spectrum", write_spec(tmp_path, chain_spec(3, 3e307), "half.json")]) == EXIT_OK
+        values = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[3:]]
+        np.testing.assert_allclose(values, 3e307 * np.array([-4, -4, 0, 0, 2, 2, 2, 2]),
+                                   rtol=0, atol=1e-15 * 1.2e308)
+
+    @pytest.mark.parametrize("args", [[], ["--json"]])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "spectrum.csv"
+        assert run(["spectrum", h2_spec(tmp_path), "--out", str(out), *args]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"kronspin: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert captured.out == ""
+
     def test_nonpositive_k(self, tmp_path):
         spec = h2_spec(tmp_path)
         assert run(["spectrum", spec, "--k", "0"]) == EXIT_USAGE
@@ -487,6 +526,52 @@ class TestConserved:
             code = run(["conserved", spec, "--debug-anisotropy", z_scale, "--json"])
         assert_refused_as_overflow(capsys, code)
 
+    @pytest.mark.parametrize("n, strengths", [(3, [3e307] * 2), (13, [6e307] + [1.0] * 11)])
+    def test_overflowing_commutator_is_capacity_error(self, tmp_path, capsys, n, strengths):
+        # H is finite, but its products with S^2 (dense method) or the
+        # squared norm of a probe residual (probe method) are not
+        edges = tuple(CouplingEdge(i, i + 1, j) for i, j in enumerate(strengths, 1))
+        spec = write_spec(tmp_path, HamiltonianSpec(n, 1.0, edges))
+        for args in ([], ["--json"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["conserved", spec, *args])
+            assert_refused_as_overflow(capsys, code)
+
+    def test_residual_past_the_squared_range_is_reported(self, tmp_path, capsys, report_schema):
+        # [H, S^2] at J = 1e200 with Z_SCALE 2 has coefficients that square
+        # past the double range; its norm is finite and reported as measured
+        spec = write_spec(tmp_path, chain_spec(4, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["conserved", spec, "--debug-anisotropy", "2.0", "--json"])
+        assert code == EXIT_CHECK_FAILED
+        row = check_report(capsys.readouterr().out, report_schema)["results"][1]
+        assert row["name"] == "[H, S^2] commutator residual"
+        assert 1e199 < row["residual"] < 1e202
+        assert row["tolerance"] == CONSERVED_TOL * 2e200
+
+    def test_h_rows_scale_the_bound_by_the_largest_value(self, tmp_path, capsys, report_schema):
+        # rounding in a commutator with H grows with H's largest field or
+        # coupling: at J = 1e160 the [H, S^2] residual is about 1e145, far
+        # inside 1e-8 * 1e160.  [S_z, S^2] keeps the bound as given, and so
+        # does every row of a spec whose values are at most 1 in magnitude.
+        cases = [
+            (chain_spec(4), ["--tol", "1e-6"], 1e-6, EXIT_OK),
+            (HamiltonianSpec(2, -5.0, (CouplingEdge(1, 2, 0.5),)), [], CONSERVED_TOL * 5.0, EXIT_OK),
+            (chain_spec(4, 1.5), ["--debug-anisotropy", "-2.0"], CONSERVED_TOL * 3.0,
+             EXIT_CHECK_FAILED),
+            (chain_spec(4, 1e160), [], CONSERVED_TOL * 1e160, EXIT_OK),
+        ]
+        for k, (spec, args, h_tol, code) in enumerate(cases):
+            path = write_spec(tmp_path, spec, f"spec{k}.json")
+            assert run(["conserved", path, "--json", *args]) == code
+            report = check_report(capsys.readouterr().out, report_schema)
+            tol = float(args[1]) if args[:1] == ["--tol"] else CONSERVED_TOL
+            assert [row["tolerance"] for row in report["results"]] == [h_tol, h_tol, tol]
+            failed = [row["name"] for row in report["results"] if not row["passed"]]
+            assert failed == ([] if code == EXIT_OK else ["[H, S^2] commutator residual"])
+
     @pytest.mark.parametrize("z_scale, strength", [("nan", 1.0), ("inf", 1.0), ("-inf", 1.0),
                                                    ("1e10", 1e300)])
     def test_non_finite_z_coupling_is_usage_error(self, tmp_path, capsys, monkeypatch,
@@ -593,6 +678,37 @@ class TestUnaddressableRegister:
     def test_cap_is_the_last_addressable_complex_state(self):
         assert (1 << MAX_STATE_SITES) * 16 <= np.iinfo(np.intp).max
         assert (1 << (MAX_STATE_SITES + 1)) * 16 > np.iinfo(np.intp).max
+
+
+class TestExitCodeTable:
+    """run() maps every error the library raises to its exit code, whichever
+    command raised it; the dense spectrum catches nothing around eigh."""
+
+    HINT = "; rerun with --engine lanczos for matrix-free extremal eigenvalues"
+
+    @pytest.mark.parametrize("error, code, message", [
+        (ConvergenceError("no luck", [(-1.5, 2e-3)]), EXIT_NO_CONVERGENCE,
+         "no luck\nkronspin: best estimate -1.5 (residual 2.000e-03)"),
+        (CapacityError("13 sites"), EXIT_ENGINE, "13 sites" + HINT),
+        (SizingError("too large"), EXIT_CAPACITY, "too large"),
+        (ParseError("bad token", line=2, column=3), EXIT_USAGE, "bad token (line 2, column 3)"),
+        (ContractError("not Hermitian"), EXIT_USAGE, "not Hermitian"),
+        (SiteRangeError("site 9"), EXIT_USAGE, "site 9"),
+        (ShapeError("not square"), EXIT_USAGE, "not square"),
+        (PermissionError(13, "Permission denied", "x.csv"), EXIT_USAGE,
+         "[Errno 13] Permission denied: 'x.csv'"),
+    ], ids=["convergence", "capacity", "sizing", "parse", "contract", "site-range", "shape",
+            "os"])
+    def test_error_maps_to_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code,
+                                         message):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "eigh", refuse)
+        assert run(["spectrum", h2_spec(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"kronspin: error: {message}\n"
+        assert captured.out == ""
 
 
 class TestParser:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from kronspin.dense_linalg import (
     scale,
     spectrum_multiset_equal,
 )
-from kronspin.errors import ContractError, ShapeError, SingularityError
+from kronspin.errors import ContractError, ShapeError, SingularityError, SizingError
 from kronspin.kron_core import kron
 
 from conftest import complex_matrices, diagonally_dominant, hermitian_matrices
@@ -166,6 +168,19 @@ class TestEigh:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ContractError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("a, what", [
+        # a + a^H doubles 1e308 past the double range
+        (np.array([[0.0, 1e308], [1e308, 0.0]]), "plus its adjoint"),
+        # a + a^H is finite, but the largest eigenvalue is 3 * 0.8e308
+        (np.full((3, 3), 0.8e308), "eigenvalue"),
+    ])
+    @pytest.mark.parametrize("want_vectors", [True, False])
+    def test_values_past_the_double_range_are_sizing_error(self, a, what, want_vectors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match=f"{what}.*past the double range"):
+                eigh(a, want_vectors=want_vectors)
 
     def test_want_vectors_false_omits_vectors(self):
         s = eigh(SZ, want_vectors=False)

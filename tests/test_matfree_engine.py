@@ -514,6 +514,25 @@ class TestCommutatorNorm:
         with pytest.raises(ContractError):
             commutator_norm(total_spin_squared_kronsum(3), total_spin_squared_kronsum(4))
 
+    def test_products_past_the_double_range_are_sizing_error(self):
+        # H is finite at J = 3e307, but its coefficients times those of S^2
+        # are not
+        h = spec_to_kronsum(chain_spec(3, j=3e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                commutator_norm(h, total_spin_squared_kronsum(3))
+
+    def test_norm_past_the_squared_range_is_rescaled(self):
+        # coefficients near 1e200 square past the double range; the norm of
+        # the commutator, 1e200 times that of the unit chain, does not
+        s_sq = total_spin_squared_kronsum(4)
+        unit = commutator_norm(spec_to_kronsum(chain_spec(4, 0.0), 2.0), s_sq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = commutator_norm(spec_to_kronsum(chain_spec(4, 0.0, 1e200), 2.0), s_sq)
+        assert got == pytest.approx(1e200 * unit, rel=1e-12)
+
 
 class TestConservedKronsums:
     @pytest.mark.parametrize("n", [1, 2, 4])
