@@ -256,13 +256,6 @@ def _spec_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_spec(path: str) -> HamiltonianSpec:
-    try:
-        return load_spec(path)
-    except jsonlib.JSONDecodeError as err:
-        raise ParseError(f"{path}: invalid JSON: {err}") from None
-
-
 def cmd_spectrum(
     spec_path: str,
     engine: str = "dense",
@@ -274,7 +267,7 @@ def cmd_spectrum(
     seed: int = 0,
 ) -> int:
     started = time.perf_counter()
-    spec = _load_spec(spec_path)
+    spec = load_spec(spec_path)
     if k is not None and k < 1:
         return _fail(f"--k must be >= 1, got {k}", EXIT_USAGE)
     sha = _spec_sha256(spec_path)
@@ -332,7 +325,7 @@ def cmd_conserved(
     as_json: bool = False,
 ) -> int:
     started = time.perf_counter()
-    spec = _load_spec(spec_path)
+    spec = load_spec(spec_path)
     # max(1, |mu_b0|, |J|, |J * Z_SCALE|): a commutator with H rounds
     # relative to H's largest field or coupling
     h_scale = max([1.0, abs(spec.mu_b0)] + [abs(e.strength) * max(1.0, abs(z_scale)) for e in spec.couplings])
@@ -364,8 +357,8 @@ def cmd_conserved(
             rng = np.random.default_rng(seed)
             dim = h.dimension
             measured = []
-            # an overflow in a matvec or in the squared norm of a residual
-            # leaves that residual inf or NaN, refused below
+            # an overflow in a matvec, or a residual norm past the double
+            # range, leaves that residual inf or NaN, refused below
             with np.errstate(over="ignore", invalid="ignore"):
                 for _, first, second, _ in pairs:
                     worst = 0.0
@@ -375,8 +368,9 @@ def cmd_conserved(
                         x = rng.standard_normal(dim)
                         x /= np.linalg.norm(x)
                         r = matvec(first, matvec(second, x)) - matvec(second, matvec(first, x))
-                        # np.maximum keeps a NaN that max() could drop
-                        worst = np.maximum(worst, np.linalg.norm(r))
+                        # np.maximum keeps a NaN that max() could drop;
+                        # frobenius rescales a norm whose square overflows
+                        worst = np.maximum(worst, frobenius(r))
                     measured.append(float(worst))
             if not all(map(math.isfinite, measured)):
                 raise SizingError(f"a probe residual at n={n} overflows past the double range")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import DEFAULT_TOL, frobenius
-from .errors import ContractError, SiteRangeError
+from .errors import ContractError, ParseError, SiteRangeError
 from .kron_core import ResidualReport, kron
 from .matfree_engine import _scatter_dense, spec_to_kronsum
 from .spin_algebra import AXES, _check_capacity, pauli
@@ -240,8 +240,15 @@ def spec_from_dict(data: dict) -> HamiltonianSpec:
 
 
 def load_spec(path) -> HamiltonianSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    """Read a spec file; ParseError when it is not UTF-8 text or not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path}: invalid JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from None
+    return spec_from_dict(data)
 
 
 def save_spec(spec: HamiltonianSpec, path) -> None:

@@ -7,15 +7,16 @@ n addresses bit n - k.  A matvec never materializes the 2^n x 2^n matrix.
 
 On first use a KronSum is compiled into a ``MatvecPlan`` kept on the
 operator: the local 2 x 2 and 4 x 4 matrices of the terms with at most two
-active sites are summed per site set, each set's diagonal is added to one
-length-2^n vector and its off-diagonal entries become weighted moves, and
-the terms with three or more active sites are kept as they are.  A matvec
-is then one diagonal multiply, one strided update over 2^n / 2 (one site) or
-2^n / 4 (two sites) amplitudes per move, and one pass per active site for
-each remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
-O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per coupling
-edge, independent of the number of sites per term; scratch is one
-length-2^n vector beside the result (three when a term spans three sites).
+active sites are summed per site set, which ``_write_plan``, the one plan
+writer, turns into one length-2^n diagonal and weighted moves, refusing a
+sum past the double range; terms with three or more active sites are kept
+as they are.  A matvec is then one diagonal multiply, one strided update
+over 2^n / 2 (one site) or 2^n / 4 (two sites) amplitudes per move, and one
+pass per active site for each remaining term.  For the Zeeman-plus-exchange
+Hamiltonian that is O((1 + |E| / 2) 2^n) amplitude updates, two moves of
+weight 2J per coupling edge, independent of the number of sites per term;
+scratch is one length-2^n vector beside the result (three when a term spans
+three sites).
 When every move has one weight (uniform chains and rings, S^2, S_x) that
 scratch holds x times the weight, computed once, and each move is a single
 add; otherwise it holds each move's weighted slab in turn.  A slab whose
@@ -44,11 +45,12 @@ The spec Hamiltonian, S_z and S^2 share one shape, a constant and a field
 on every site plus exchange couplings on a graph (S_z is the field 1/2
 without edges, S^2 the complete graph at J = 1/2 plus 3n/4).  Each is an
 ``ExchangeSum``, which keeps only that edge list and checks its values once:
-its plan is written straight from the edges by ``_exchange_plan``, and its
-KronTerms are built only when read, so a matvec, a dense matrix or a
-commutator norm of these operators constructs no term.  A dense H, S_axis or
-S^2 is its plan scattered into a 2^n x 2^n matrix (diagonal, then each
-move's weight at (s, s ^ mask)), equal to the lifted forms bitwise.
+it hands ``_write_plan`` one site set per site and per edge, their diagonal
+slabs and flip-flop moves read straight from the edges, and its KronTerms
+are built only when read, so a matvec, a dense matrix or a commutator norm
+of these operators constructs no term.  A dense H, S_axis or S^2 is its
+plan scattered into a 2^n x 2^n matrix (diagonal, then each move's weight
+at (s, s ^ mask)), equal to the lifted forms bitwise.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, from a
 seeded start vector for reproducibility.  For a real plan the start vector,
@@ -273,13 +275,14 @@ def _local_matrix(term: KronTerm) -> np.ndarray:
     return c * (fi[:, None, :, None] * fj[None, :, None, :])
 
 
+# finite values can sum past the double range; the writer refuses that
+@np.errstate(over="ignore", invalid="ignore")
 def _compile(op: KronSum) -> MatvecPlan:
     """Local matrices are summed per site set in term order; each set, in
-    order of first appearance, then adds its diagonal to the plan diagonal in
-    one broadcast pass and emits its off-diagonal entries as moves with their
-    flip masks.  Where no two site sets interleave in term order (spec
-    Hamiltonians, S_axis, S^2), each entry is the sum the site passes form."""
-    n = op.n_sites
+    order of first appearance, then goes to ``_write_plan`` as its local
+    diagonal and its nonzero off-diagonal entries.  Where no two site sets
+    interleave in term order (spec Hamiltonians, S_axis, S^2), each entry is
+    the sum the site passes form."""
     locals_by_slots: dict[tuple, np.ndarray] = {}
     fallback = []
     for term in op.terms:
@@ -291,23 +294,10 @@ def _compile(op: KronSum) -> MatvecPlan:
         held = locals_by_slots.get(slots)
         locals_by_slots[slots] = local if held is None else held + local
 
-    # real and imaginary parts add apart, exactly as complex addition does;
-    # the imaginary part is allocated only once some site set has one
-    real = np.zeros(op.dimension)
-    imag = None
-    moves = []
+    site_sets = []
     for slots, local in locals_by_slots.items():
         k = len(slots)
-        shape = _slab_shape(slots, n)
-        # the local diagonal, broadcast over the slab axes between the slots
-        on_slab = np.diagonal(local.reshape(1 << k, 1 << k)).reshape([1, 2] * k + [1])
-        part = real.reshape(shape)
-        part += on_slab.real
-        if on_slab.imag.any():
-            if imag is None:
-                imag = np.zeros(op.dimension)
-            part = imag.reshape(shape)
-            part += on_slab.imag
+        entries = []
         states = list(itertools.product((0, 1), repeat=k))
         for out_bits, in_bits in itertools.product(states, repeat=2):
             weight = complex(local[out_bits + in_bits])
@@ -315,15 +305,47 @@ def _compile(op: KronSum) -> MatvecPlan:
                 continue
             if weight.imag == 0:
                 weight = weight.real
-            mask = sum(1 << (n - 1 - slot)
-                       for slot, out_bit, in_bit in zip(slots, out_bits, in_bits)
-                       if out_bit != in_bit)
-            moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight, mask))
+            entries.append((_slab_index(out_bits), _slab_index(in_bits), weight))
+        # the local diagonal, broadcast over the slab axes between the slots
+        on_slab = np.diagonal(local.reshape(1 << k, 1 << k)).reshape([1, 2] * k + [1])
+        site_sets.append((slots, on_slab, entries))
+    return _write_plan(op.n_sites, site_sets, fallback)
 
-    if imag is None or not imag.any():
-        diagonal = real
-    else:
-        diagonal = real + 1j * imag
+
+@np.errstate(over="ignore", invalid="ignore")
+def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
+    """The one writer of a ``MatvecPlan``.  Each site set ``(slots, on_slab,
+    entries)`` in turn adds ``on_slab`` to the diagonal over its slab and
+    emits each ``(dst, src, weight)`` entry as a move, masking the slots'
+    bits where dst and src differ.  Raises SizingError when a diagonal entry
+    or a move weight is past the double range."""
+    # zeros plus each slab, not np.full: numpy takes zeroed memory from
+    # calloc, which maps a large array afresh; np.full's malloc'd array
+    # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB.  Real
+    # and imaginary parts add apart, exactly as complex addition does; the
+    # imaginary part is allocated only once some site set has one
+    real = np.zeros(1 << n)
+    imag = None
+    moves = []
+    for slots, on_slab, entries in site_sets:
+        shape = _slab_shape(slots, n)
+        part = real.reshape(shape)
+        part += on_slab.real
+        if np.iscomplexobj(on_slab) and on_slab.imag.any():
+            if imag is None:
+                imag = np.zeros(1 << n)
+            part = imag.reshape(shape)
+            part += on_slab.imag
+        for dst, src, weight in entries:
+            mask = 0
+            for slot, out_bit, in_bit in zip(slots, dst[1::2], src[1::2]):
+                if out_bit != in_bit:
+                    mask |= 1 << (n - 1 - slot)
+            moves.append((shape, dst, src, weight, mask))
+
+    diagonal = real if imag is None or not imag.any() else real + 1j * imag
+    if not (np.isfinite(diagonal).all() and all(cmath.isfinite(move[3]) for move in moves)):
+        raise SizingError(f"the {n}-site operator sums to an entry past the double range")
     diagonal.setflags(write=False)
     real = (diagonal.dtype == np.float64 and not fallback
             and all(isinstance(move[3], float) for move in moves))
@@ -337,43 +359,6 @@ _ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(1, 2, 1, 2, 1)
 # (dst, src) slab indices of an exchange edge's two moves
 _FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
                (_slab_index((1, 0)), _slab_index((0, 1))))
-
-
-# finite values can sum past the double range; the plan refuses that itself
-@np.errstate(over="ignore")
-def _exchange_plan(n: int, zeeman, edges, constant: float = 0.0) -> MatvecPlan:
-    """Plan of constant I + zeeman sum_k sigma_z(k) + sum over the edges
-    (i, j, j_xy, j_z), distinct site pairs with i < j, of
-    j_xy (sigma_x sigma_x + sigma_y sigma_y)(i, j) + j_z sigma_z sigma_z(i, j),
-    written straight from the edge list; ``zeeman`` None means no field.
-
-    The diagonal takes the constant, each site's Zeeman slab, then each
-    edge's zz slab; each edge with j_xy != 0 adds two flip-flop moves of
-    weight 2 j_xy.  That is ``_compile``'s order on ``ExchangeSum.terms``,
-    so the plan equals the compiled one bitwise.  Raises SizingError when a
-    diagonal entry or a move weight is past the double range."""
-    # zeros plus the constant, not np.full: numpy takes zeroed memory from
-    # calloc, which maps a large array afresh; np.full's malloc'd array
-    # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB
-    diagonal = np.zeros(1 << n)
-    diagonal += constant
-    if zeeman:
-        for slot in range(n):
-            part = diagonal.reshape(1 << slot, 2, -1)
-            part += zeeman * _Z_SIGNS
-    moves = []
-    for i, j, j_xy, j_z in edges:
-        # _slab_shape((i - 1, j - 1), n), inlined
-        shape = (1 << (i - 1), 2, 1 << (j - i - 1), 2, 1 << (n - j))
-        part = diagonal.reshape(shape)
-        part += j_z * _ZZ_SIGNS
-        if j_xy:
-            mask = (1 << (n - i)) | (1 << (n - j))
-            moves += [(shape, dst, src, 2.0 * j_xy, mask) for dst, src in _FLIP_FLOPS]
-    if not (np.isfinite(diagonal).all() and all(math.isfinite(move[3]) for move in moves)):
-        raise SizingError(f"the {n}-site operator sums to an entry past the double range")
-    diagonal.setflags(write=False)
-    return MatvecPlan(diagonal, tuple(moves), (), True)
 
 
 @dataclass(frozen=True)
@@ -576,8 +561,8 @@ def _sites_term(coefficient, sigma, sites, n: int) -> KronTerm:
 class ExchangeSum(KronSum):
     """constant I + zeeman sum_k sigma_z(k) + sum over the edges (i, j, j_xy,
     j_z) of j_xy (sigma_x sigma_x + sigma_y sigma_y)(i, j) + j_z sigma_z
-    sigma_z(i, j), kept as that edge list alone: the arguments of
-    ``_exchange_plan``, which writes its plan; ``zeeman`` None means no field.
+    sigma_z(i, j), kept as that edge list alone, from which its plan is
+    written; ``zeeman`` None means no field.
 
     The constructor refuses, with ContractError, a non-finite field, constant
     or coupling and an edge that is not two sites 1 <= i < j <= n_sites.
@@ -616,7 +601,16 @@ class ExchangeSum(KronSum):
 
     @cached_property
     def plan(self) -> MatvecPlan:
-        return _exchange_plan(self.n_sites, self.zeeman, self.edges, self.constant)
+        """Written straight from the edge list in ``terms`` order, equal to
+        ``_compile`` of the terms bitwise without building a local matrix."""
+        n = self.n_sites
+        site_sets = [((), self.constant, ())] if self.constant else []
+        if self.zeeman:
+            site_sets += [((slot,), self.zeeman * _Z_SIGNS, ()) for slot in range(n)]
+        for i, j, j_xy, j_z in self.edges:
+            flips = [(dst, src, 2.0 * j_xy) for dst, src in _FLIP_FLOPS] if j_xy else ()
+            site_sets.append(((i - 1, j - 1), j_z * _ZZ_SIGNS, flips))
+        return _write_plan(n, site_sets, ())
 
 
 def spec_to_kronsum(spec, z_scale: float = 1.0) -> ExchangeSum:

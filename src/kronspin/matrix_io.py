@@ -110,3 +110,5 @@ def load_matrix(path) -> np.ndarray:
             return parse_matrix(fh.read())
     except ParseError as err:
         raise ParseError(f"{path}: {err.raw_message}", line=err.line, column=err.column) from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from None

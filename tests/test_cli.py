@@ -160,6 +160,18 @@ class TestKron:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["kron", "verify-properties"])
+    def test_matrix_that_is_not_utf8_is_usage_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "binary.txt"
+        bad.write_bytes(b"\xff1 1\n1\n")
+        ok = tmp_path / "ok.txt"
+        save_matrix(np.eye(1), ok)
+        assert run([command, str(bad), str(ok)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{bad}: not UTF-8 text" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["kron", "verify-properties"])
     def test_overflowing_entry_is_usage_error(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n1e400\n")
@@ -345,6 +357,16 @@ class TestSpectrum:
         assert run(["spectrum", str(path)]) == EXIT_USAGE
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "conserved"])
+    def test_spec_that_is_not_utf8_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff{}")
+        assert run([command, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{path}: not UTF-8 text" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unknown_spec_key(self, tmp_path, capsys):
         path = tmp_path / "extra.json"
         path.write_text('{"n_sites": 2, "mu_b0": 0.0, "couplings": [], "gamma": 1}')
@@ -526,10 +548,9 @@ class TestConserved:
             code = run(["conserved", spec, "--debug-anisotropy", z_scale, "--json"])
         assert_refused_as_overflow(capsys, code)
 
-    @pytest.mark.parametrize("n, strengths", [(3, [3e307] * 2), (13, [6e307] + [1.0] * 11)])
+    @pytest.mark.parametrize("n, strengths", [(3, [3e307] * 2)])
     def test_overflowing_commutator_is_capacity_error(self, tmp_path, capsys, n, strengths):
-        # H is finite, but its products with S^2 (dense method) or the
-        # squared norm of a probe residual (probe method) are not
+        # H is finite, but its products with S^2 (dense method) are not
         edges = tuple(CouplingEdge(i, i + 1, j) for i, j in enumerate(strengths, 1))
         spec = write_spec(tmp_path, HamiltonianSpec(n, 1.0, edges))
         for args in ([], ["--json"]):
@@ -537,6 +558,35 @@ class TestConserved:
                 warnings.simplefilter("error")
                 code = run(["conserved", spec, *args])
             assert_refused_as_overflow(capsys, code)
+
+    @staticmethod
+    def one_huge_edge_chain(tmp_path) -> str:
+        """The 13-site chain with J = 6e307 on edge (1, 2) and 1 elsewhere."""
+        edges = tuple(CouplingEdge(i, i + 1, 6e307 if i == 1 else 1.0) for i in range(1, 13))
+        return write_spec(tmp_path, HamiltonianSpec(13, 1.0, edges))
+
+    def test_overflowing_probe_matvec_is_capacity_error(self, tmp_path, capsys):
+        # H is finite, but with Z_SCALE 2 its product with S^2 x is not
+        spec = self.one_huge_edge_chain(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["conserved", spec, "--debug-anisotropy", "2"])
+        assert_refused_as_overflow(capsys, code)
+
+    def test_probe_residual_whose_square_overflows_is_measured(self, tmp_path, capsys,
+                                                               report_schema):
+        # every probe residual is finite and its norm about 1e293, but its
+        # squared entries pass the double range; the norm is rescaled, and
+        # the rows pass against the bound 1e-8 * 6e307
+        spec = self.one_huge_edge_chain(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["conserved", spec, "--json"])
+        assert code == EXIT_OK
+        rows = check_report(capsys.readouterr().out, report_schema)["results"]
+        assert all(row["method"] == "probe" and row["passed"] for row in rows)
+        assert 1e292 < rows[1]["residual"] < 1e295
+        assert rows[1]["tolerance"] == CONSERVED_TOL * 6e307
 
     def test_residual_past_the_squared_range_is_reported(self, tmp_path, capsys, report_schema):
         # [H, S^2] at J = 1e200 with Z_SCALE 2 has coefficients that square

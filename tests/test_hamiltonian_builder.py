@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronspin.dense_linalg import eigh
-from kronspin.errors import CapacityError, ContractError, SiteRangeError
+from kronspin.errors import CapacityError, ContractError, ParseError, SiteRangeError
 from kronspin.hamiltonian_builder import (
     CouplingEdge,
     HamiltonianSpec,
@@ -226,6 +226,15 @@ class TestSpecSerialization:
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         assert load_spec(path) == spec
+
+    @pytest.mark.parametrize("content, match", [(b"{nope", "invalid JSON"),
+                                                (b"\xff{}", "not UTF-8 text")])
+    def test_unreadable_file_raises_parse_error(self, tmp_path, content, match):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=match) as err:
+            load_spec(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_dict_round_trip(self):
         spec = HamiltonianSpec(3, 0.25, (CouplingEdge(3, 1, 2.0),))

@@ -299,6 +299,17 @@ class TestCompiledPlan:
         assert np.array_equal(matvec(op, x), before)
         assert not op.terms[0].factors[0].flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_overflowing_site_set_sum_is_refused(self, n):
+        # finite terms whose summed weight 2e308 and diagonal +-2e308 are
+        # past the double range; the refusal is the only signal
+        rest = (None,) * (n - 1)
+        terms = [KronTerm(1e308, (pauli(axis),) + rest) for axis in "xxzz"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                KronSum(n, tuple(terms)).plan
+
 
 def hermitian_kronsum(rng, n: int) -> KronSum:
     """mixed_kronsum plus the adjoint of every term: Hermitian, with complex
@@ -571,8 +582,10 @@ def assert_plans_bitwise_equal(got, want):
 
 
 class TestExchangePlan:
-    """The plan written from the edge list equals ``_compile`` of the same
-    operator's terms bitwise."""
+    """``ExchangeSum.plan`` equals ``_compile`` of the same operator's terms
+    bitwise.  Both hand their site sets to ``_write_plan``, so this checks
+    that the edge list and the summed local matrices give it the same slabs
+    and entries in the same order."""
 
     @pytest.mark.parametrize("z_scale", [1.0, 2.0, -0.7, 0.0])
     def test_spec_plan_equals_compiled_terms_bitwise(self, z_scale):

@@ -174,6 +174,13 @@ class TestRoundTrip:
         assert str(path) in str(err.value)
         assert err.value.line == 2
 
+    def test_load_non_utf8_file_raises_parse_error(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff1 1\n1\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            load_matrix(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_matrix(tmp_path / "absent.txt")
