@@ -7,8 +7,8 @@ algebra and a Hermitian eigensolver on LAPACK via numpy), ``spin_algebra``
 (Zeeman + isotropic exchange Hamiltonians from declarative specs),
 ``matfree_engine`` (the same operators, S_axis and S^2 as a diagonal plus
 strided moves for 2^n state vectors, written from the edge list for H and
-S^2, the dense Hamiltonian and spin totals scattered from that form, and a
-Lanczos extremal eigensolver),
+S^2, the dense Hamiltonian and spin totals scattered from its flip form, and
+a Lanczos extremal eigensolver),
 ``matrix_io`` (text matrix round-tripping) and ``cli`` (batch front end).
 """
 

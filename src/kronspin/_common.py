@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import ShapeError
 
-# Everything in this package is a dense complex double-precision matrix.
-ComplexMatrix = np.ndarray
-
 # Frobenius-norm comparison tolerance, overridable per call.  The Kronecker
 # identity checks scale it by max(1, ||rhs||_F), so for them it is relative
 # to the operand scale; the zero-factor and non-commutation checks use it as

@@ -87,6 +87,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _refusal(tol: float | None, seed: int) -> str | None:
+    """Why a residual bound ``--tol`` (finite and positive: an infinite or
+    NaN bound judges nothing; None when the command has none) or a
+    ``--seed`` (numpy's generators take only non-negative integers) is
+    refused, or None."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        return f"--tol must be a finite positive number, got {tol!r}"
+    if seed < 0:
+        return f"--seed must be a non-negative integer, got {seed}"
+    return None
+
+
 def _state_alloc_message(n: int) -> str:
     return f"state allocation failed at n={n} (2^{n} amplitudes)"
 
@@ -280,8 +292,9 @@ def cmd_spectrum(
             values = values[:take] if which == "lowest" else values[-take:]
         note = f"all {spectrum.dimension} eigenvalues" if k is None else f"{values.shape[0]} {which} of {spectrum.dimension}"
     else:
-        if not (math.isfinite(tol) and tol > 0):
-            return _fail(f"--tol must be a finite positive number, got {tol!r}", EXIT_USAGE)
+        refused = _refusal(tol, seed)
+        if refused:
+            return _fail(refused, EXIT_USAGE)
         if spec.n_sites > MAX_STATE_SITES:
             return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
         op = spec_to_kronsum(spec)
@@ -326,6 +339,9 @@ def cmd_conserved(
 ) -> int:
     started = time.perf_counter()
     spec = load_spec(spec_path)
+    refused = _refusal(tol, seed)
+    if refused:
+        return _fail(refused, EXIT_USAGE)
     # max(1, |mu_b0|, |J|, |J * Z_SCALE|): a commutator with H rounds
     # relative to H's largest field or coupling
     h_scale = max([1.0, abs(spec.mu_b0)] + [abs(e.strength) * max(1.0, abs(z_scale)) for e in spec.couplings])
@@ -335,6 +351,10 @@ def cmd_conserved(
     if not (math.isfinite(z_scale) and math.isfinite(h_scale)):
         return _fail(f"--debug-anisotropy must be finite and keep every J * Z_SCALE finite, "
                      f"got {z_scale!r}", EXIT_USAGE)
+    # an infinite bound judges nothing, and is no JSON number
+    if not math.isfinite(tol * h_scale):
+        return _fail(f"--tol {tol!r} times the spec's largest value {h_scale!r} is past the "
+                     "double range", EXIT_USAGE)
     n = spec.n_sites
     if n > MAX_STATE_SITES:
         return _fail(_state_alloc_message(n), EXIT_CAPACITY)
@@ -442,6 +462,9 @@ def cmd_bench(
         return _fail(f"site counts must be >= 2, got {sizes}", EXIT_USAGE)
     if repeats < 1:
         return _fail(f"--repeats must be >= 1, got {repeats}", EXIT_USAGE)
+    refused = _refusal(None, seed)
+    if refused:
+        return _fail(refused, EXIT_USAGE)
     if max(sizes) > MAX_STATE_SITES:
         return _fail(_state_alloc_message(max(sizes)), EXIT_CAPACITY)
 

@@ -11,12 +11,12 @@ index, the convention of ``spin_algebra.lift``).  It has one construction:
 the edge list (i, j, J, J * z_scale) of the spec is the matrix-free
 engine's operator (``matfree_engine.spec_to_kronsum``), whose plan is the
 diagonal of Zeeman and zz terms plus two flip-flop moves of weight 2 J per
-edge, and ``build_general`` scatters that plan into a dense matrix.  Every
-entry equals the lifted-product form and the engine's ``to_dense`` bitwise.
-``build_general(spec, z_scale)`` multiplies every sigma_z sigma_z coupling
-by z_scale, the XXZ anisotropy Delta; 1 gives the isotropic form above.  The
-two- and three-site builders are the general builder applied to fixed edge
-lists.
+edge, and ``build_general`` scatters that plan's flip form into a dense
+matrix.  Every entry equals the lifted-product form and the engine's
+``to_dense`` bitwise.  ``build_general(spec, z_scale)`` multiplies every
+sigma_z sigma_z coupling by z_scale, the XXZ anisotropy Delta; 1 gives the
+isotropic form above.  The two- and three-site builders are the general
+builder applied to fixed edge lists.
 
 ``verify_h2_decomposition`` mechanically reproduces the two-site Hamiltonian
 from a weighted S_z and the squares of the weighted total components: each
@@ -46,6 +46,19 @@ from .spin_algebra import lift  # noqa: F401
 INTERMEDIATE_TOL = 1e-12
 
 
+def _finite_float(value, what: str) -> float:
+    """``float(value)``; ContractError when that is not finite or, for an
+    integer past the double range, cannot be formed at all."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ContractError(f"{what} must be finite, got an integer past the double "
+                            "range") from None
+    if not math.isfinite(number):
+        raise ContractError(f"{what} must be finite, got {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class CouplingEdge:
     """Exchange coupling J between two distinct sites, stored with i < j."""
@@ -66,9 +79,7 @@ class CouplingEdge:
             lo, hi = self.j, self.i
             object.__setattr__(self, "i", lo)
             object.__setattr__(self, "j", hi)
-        object.__setattr__(self, "strength", float(self.strength))
-        if not math.isfinite(self.strength):
-            raise ContractError(f"coupling strength must be finite, got {self.strength}")
+        object.__setattr__(self, "strength", _finite_float(self.strength, "coupling strength"))
 
 
 @dataclass(frozen=True)
@@ -83,9 +94,7 @@ class HamiltonianSpec:
         if (not isinstance(self.n_sites, int) or isinstance(self.n_sites, bool)
                 or self.n_sites < 1):
             raise ContractError(f"n_sites must be a positive integer, got {self.n_sites!r}")
-        object.__setattr__(self, "mu_b0", float(self.mu_b0))
-        if not math.isfinite(self.mu_b0):
-            raise ContractError(f"mu_b0 must be finite, got {self.mu_b0}")
+        object.__setattr__(self, "mu_b0", _finite_float(self.mu_b0, "mu_b0"))
         object.__setattr__(self, "couplings", tuple(self.couplings))
         seen = set()
         for edge in self.couplings:
@@ -110,17 +119,14 @@ class WeightTriple:
 
     def __post_init__(self):
         for name in ("a_x", "a_y", "a_z"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ContractError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
 
 
 def build_general(spec: HamiltonianSpec, z_scale: float = 1.0) -> np.ndarray:
     """Dense Hamiltonian for an arbitrary valid spec, with every zz coupling
     scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is isotropic): the
-    plan of its edge list, scattered.  Raises SizingError when the summed
-    values pass the double range."""
+    flip form of its edge list's plan, scattered.  Raises SizingError when
+    the summed values pass the double range."""
     _check_capacity(spec.n_sites, "dense Hamiltonian")
     return _scatter_dense(spec_to_kronsum(spec, z_scale).plan)
 
@@ -240,7 +246,9 @@ def spec_from_dict(data: dict) -> HamiltonianSpec:
 
 
 def load_spec(path) -> HamiltonianSpec:
-    """Read a spec file; ParseError when it is not UTF-8 text or not JSON."""
+    """Read a spec file; ParseError when it is not UTF-8 text, not JSON, or
+    holds an integer literal longer than Python converts (4300 digits by
+    default)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -248,6 +256,8 @@ def load_spec(path) -> HamiltonianSpec:
         raise ParseError(f"{path}: invalid JSON: {err}") from None
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text: {err}") from None
+    except ValueError as err:  # the integer digit limit
+        raise ParseError(f"{path}: unreadable number: {err}") from None
     return spec_from_dict(data)
 
 

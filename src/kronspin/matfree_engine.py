@@ -48,9 +48,9 @@ without edges, S^2 the complete graph at J = 1/2 plus 3n/4).  Each is an
 it hands ``_write_plan`` one site set per site and per edge, their diagonal
 slabs and flip-flop moves read straight from the edges, and its KronTerms
 are built only when read, so a matvec, a dense matrix or a commutator norm
-of these operators constructs no term.  A dense H, S_axis or S^2 is its
-plan scattered into a 2^n x 2^n matrix (diagonal, then each move's weight
-at (s, s ^ mask)), equal to the lifted forms bitwise.
+of these operators constructs no term.  A dense H, S_axis or S^2 is the
+flip form of its plan scattered into a 2^n x 2^n matrix, row k of the
+coefficients at (s, s ^ masks[k]), equal to the lifted forms bitwise.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec, from a
 seeded start vector for reproducibility.  For a real plan the start vector,
@@ -87,7 +87,7 @@ from .kron_core import kron
 from .spin_algebra import AXES, _check_capacity, pauli
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KronTerm:
     """One scalar-weighted factor chain; factors[k] = None means identity at
     site k + 1, anything else must be a 2 x 2 complex matrix (stored as a
@@ -125,7 +125,7 @@ def _check_site_count(n_sites) -> None:
         raise ContractError(f"n_sites must be a positive integer, got {n_sites!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KronSum:
     """Sum of KronTerms over a fixed register of n_sites spin-1/2 sites."""
 
@@ -158,10 +158,10 @@ class KronSum:
         """The plan as masked bit flips, which ``commutator_norm`` reads;
         built on first use and kept with the operator like ``plan``.  Raises
         ContractError when a term has three or more active sites."""
-        return _flip_form(self)
+        return _flip_form(self.plan)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatvecPlan:
     """A KronSum compiled for ``matvec``.
 
@@ -361,7 +361,7 @@ _FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
                (_slab_index((1, 0)), _slab_index((0, 1))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlipForm:
     """A plan without fallback terms as a sum of masked bit flips:
     ``(op @ x)[s] = sum_k coefficients[k, s] * x[s ^ masks[k]]``.
@@ -378,8 +378,9 @@ class FlipForm:
     coefficients: np.ndarray
 
 
-def _flip_form(op: KronSum) -> FlipForm:
-    plan = op.plan
+def _flip_form(plan: MatvecPlan) -> FlipForm:
+    """The plan's moves summed into one row per flip mask; ContractError
+    when the plan keeps fallback terms."""
     if plan.fallback:
         raise ContractError(
             f"the flip form needs terms on at most two sites; {len(plan.fallback)} "
@@ -388,7 +389,7 @@ def _flip_form(op: KronSum) -> FlipForm:
     row_of = {0: 0}  # flip mask -> row, in order of first appearance
     for move in plan.moves:
         row_of.setdefault(move[4], len(row_of))
-    coefficients = np.zeros((len(row_of), op.dimension),
+    coefficients = np.zeros((len(row_of), plan.diagonal.size),
                             dtype=np.float64 if plan.real else np.complex128)
     coefficients[0] = plan.diagonal
     for shape, dst, _, weight, mask in plan.moves:
@@ -557,7 +558,7 @@ def _sites_term(coefficient, sigma, sites, n: int) -> KronTerm:
     return KronTerm(coefficient, tuple(factors))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ExchangeSum(KronSum):
     """constant I + zeeman sum_k sigma_z(k) + sum over the edges (i, j, j_xy,
     j_z) of j_xy (sigma_x sigma_x + sigma_y sigma_y)(i, j) + j_z sigma_z
@@ -584,6 +585,10 @@ class ExchangeSum(KronSum):
                 raise ContractError(f"field, constant and couplings must be finite, got {value}")
         # frozen: the fields are set past the refusing __setattr__
         self.__dict__.update(n_sites=n_sites, zeeman=zeeman, edges=edges, constant=constant)
+
+    def __repr__(self) -> str:
+        return (f"ExchangeSum(n_sites={self.n_sites!r}, zeeman={self.zeeman!r}, "
+                f"edges={self.edges!r}, constant={self.constant!r})")
 
     @cached_property
     def terms(self) -> tuple[KronTerm, ...]:
@@ -616,7 +621,7 @@ class ExchangeSum(KronSum):
 def spec_to_kronsum(spec, z_scale: float = 1.0) -> ExchangeSum:
     """Matrix-free form of the Hamiltonian builder's general form: the field
     -mu_b0 and one exchange edge (i, j, J, J * z_scale) per coupling, so
-    ``build_general(spec, z_scale)`` is its plan scattered.  Every sigma_z
+    ``build_general(spec, z_scale)`` is its flip form scattered.  Every sigma_z
     sigma_z coupling is scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is
     isotropic)."""
     edges = [(e.i, e.j, e.strength, e.strength * z_scale) for e in spec.couplings]
@@ -640,26 +645,19 @@ def total_spin_squared_kronsum(n: int) -> ExchangeSum:
 
 
 def _scatter_dense(plan: MatvecPlan) -> np.ndarray:
-    """A plan without fallback terms as a complex128 2^n x 2^n matrix: the
-    diagonal, then each move's weight at (s, s ^ mask) for every s of its
-    destination slab.  Moves are written, not summed, so no two may share an
-    entry; that holds when all moves with one flip mask come from one site
-    set, as in every spec Hamiltonian, S_axis and S^2 plan."""
-    dim = plan.diagonal.size
-    flat = np.zeros(dim * dim, dtype=np.complex128)
-    flat[:: dim + 1] = plan.diagonal
-    # entry (s, s ^ mask) is at flat index s (dim + 1) ^ mask, since s dim
-    # has no bit below dim
-    on_diagonal = np.arange(0, dim * dim, dim + 1)
-    for shape, dst, _, weight, mask in plan.moves:
-        flat[on_diagonal.reshape(shape)[dst] ^ mask] = weight
-    return flat.reshape(dim, dim)
+    """The plan's flip form as a complex128 2^n x 2^n matrix, entry
+    (s, s ^ masks[k]) = coefficients[k, s]; ContractError on fallback terms."""
+    form = _flip_form(plan)
+    states = np.arange(form.coefficients.shape[1])
+    dense = np.zeros((states.size, states.size), dtype=np.complex128)
+    dense[states, states ^ form.masks[:, None]] = form.coefficients
+    return dense
 
 
 def total_component(axis: str, n: int) -> np.ndarray:
     """Dense total spin component S_axis = (1/2) * sum over sites of the
     lifted Pauli matrix; the 1/2 is the spin-1/2 prefactor with hbar = 1.
-    Scattered from the plan of ``total_component_kronsum``."""
+    Scattered from the flip form of ``total_component_kronsum``."""
     pauli(axis)  # an unknown axis is a ValueError before any site check
     if n < 1:
         raise SiteRangeError(f"site count must be >= 1, got {n}")
@@ -670,7 +668,7 @@ def total_component(axis: str, n: int) -> np.ndarray:
 def total_spin_squared(n: int) -> np.ndarray:
     """Dense S^2 = S_x^2 + S_y^2 + S_z^2 = n(4 - n)/4 I + sum_{i<j} SWAP_ij;
     eigenvalues s(s+1) with s in {n/2, n/2 - 1, ..., (n mod 2)/2}.
-    Scattered from the plan of ``total_spin_squared_kronsum``."""
+    Scattered from the flip form of ``total_spin_squared_kronsum``."""
     if n < 1:
         raise SiteRangeError(f"site count must be >= 1, got {n}")
     _check_capacity(n, "dense total spin squared")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import DEFAULT_TOL, as_matrix, as_square, frobenius
+from ._common import as_matrix, as_square, frobenius
 from .errors import CapacityError, ShapeError, SiteRangeError
 from .kron_core import kron
 

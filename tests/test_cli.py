@@ -637,6 +637,36 @@ class TestConserved:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+    def test_tol_must_be_finite_positive(self, tmp_path, capsys, monkeypatch, tol):
+        # a NaN or infinite bound would judge nothing and print a token that
+        # is not JSON; the same rule as the Lanczos --tol
+        def no_build(*args, **kwargs):
+            raise AssertionError("no operator may be built")
+
+        monkeypatch.setattr(cli, "spec_to_kronsum", no_build)
+        spec = h2_spec(tmp_path)
+        assert run(["conserved", spec, f"--tol={tol}", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        message = f"--tol must be a finite positive number, got {float(tol)!r}"
+        assert captured.err == f"kronspin: error: {message}\n"
+        assert captured.out == ""
+
+    def test_tol_scaled_past_the_double_range_is_usage_error(self, tmp_path, capsys):
+        # the [H, .] bounds are 1e300 * 1e10: no bound, and no JSON number
+        spec = write_spec(tmp_path, chain_spec(2, 1e10))
+        assert run(["conserved", spec, "--tol", "1e300", "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("kronspin: error: --tol 1e+300 times the spec's largest value "
+                                "10000000000.0 is past the double range\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["1e-300", "1e300"])
+    def test_extreme_finite_tol_gives_strict_json(self, tmp_path, capsys, report_schema, tol):
+        assert run(["conserved", h2_spec(tmp_path), "--tol", tol, "--json"]) == EXIT_OK
+        report = check_report(capsys.readouterr().out, report_schema)
+        assert [row["tolerance"] for row in report["results"]] == [float(tol)] * 3
+
 
 class TestBench:
     def test_two_sizes_fit_exponent(self, capsys):
@@ -697,6 +727,52 @@ class TestBench:
 
     def test_rejects_empty_range(self, capsys):
         assert run(["bench", "--n-list", "6..4"]) == EXIT_USAGE
+
+
+class TestNegativeSeed:
+    """numpy's generators take no negative seed: every command that draws
+    from one refuses it before any operator is built."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "conserved", "bench"])
+    def test_refused_as_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator was built for a negative seed")
+
+        monkeypatch.setattr(cli, "spec_to_kronsum", refuse)
+        if command == "spectrum":
+            argv = ["spectrum", write_spec(tmp_path, chain_spec(4)), "--engine", "lanczos"]
+        elif command == "conserved":
+            # past the dense cap, where the probes draw from the seed
+            argv = ["conserved", write_spec(tmp_path, chain_spec(13))]
+        else:
+            argv = ["bench", "--n-list", "4"]
+        assert run(argv + ["--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "kronspin: error: --seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
+
+
+class TestHugeIntegerLiterals:
+    """An integer literal too large for a double is a usage error, whether
+    float() overflows (401 digits) or Python will not read it (5000)."""
+
+    @pytest.mark.parametrize("key, digits, message", [
+        ("mu_b0", 401, "mu_b0 must be finite"),
+        ("J", 401, "coupling strength must be finite"),
+        ("J", 5000, "digits"),
+    ])
+    @pytest.mark.parametrize("command", ["spectrum", "conserved"])
+    def test_refused_as_usage_error(self, tmp_path, capsys, command, key, digits, message):
+        values = {"mu_b0": "1.0", "J": "1.0", key: "9" * digits}
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"n_sites": 2, "mu_b0": {values["mu_b0"]}, '
+                        f'"couplings": [{{"i": 1, "j": 2, "J": {values["J"]}}}]}}')
+        assert run([command, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kronspin: error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestUnaddressableRegister:

@@ -96,6 +96,16 @@ class TestEdgesAndSpecs:
         with pytest.raises(ContractError):
             WeightTriple(1.0, float("nan"), 0.0)
 
+    def test_integers_past_the_double_range_rejected(self):
+        # float() of a 401-digit integer raises OverflowError, not inf
+        huge = 10 ** 400
+        with pytest.raises(ContractError, match="coupling strength must be finite"):
+            CouplingEdge(1, 2, -huge)
+        with pytest.raises(ContractError, match="mu_b0 must be finite"):
+            HamiltonianSpec(2, huge)
+        with pytest.raises(ContractError, match="a_y must be finite"):
+            WeightTriple(1.0, huge, 0.0)
+
 
 class TestBuildH2:
     def test_zero_inputs_give_zero(self):
@@ -235,6 +245,17 @@ class TestSpecSerialization:
         with pytest.raises(ParseError, match=match) as err:
             load_spec(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_integer_literal_too_large_for_a_double(self, tmp_path, digits):
+        # 401 digits overflow float(); past 4300 Python refuses to read the
+        # integer at all
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"n_sites": 2, "mu_b0": 1.0, '
+                        f'"couplings": [{{"i": 1, "j": 2, "J": {"9" * digits}}}]}}')
+        error = ContractError if digits < 4300 else ParseError
+        with pytest.raises(error, match="coupling strength" if digits < 4300 else "digits"):
+            load_spec(path)
 
     def test_dict_round_trip(self):
         spec = HamiltonianSpec(3, 0.25, (CouplingEdge(3, 1, 2.0),))

@@ -29,6 +29,7 @@ from kronspin.matfree_engine import (
     KronSum,
     KronTerm,
     _compile,
+    _scatter_dense,
     commutator_norm,
     lanczos_extremal,
     matvec,
@@ -545,6 +546,34 @@ class TestCommutatorNorm:
         assert got == pytest.approx(1e200 * unit, rel=1e-12)
 
 
+class TestScatterDense:
+    """The dense scatter reads a plan through its flip form, so moves that
+    share a flip mask sum into one entry."""
+
+    def test_shared_flip_mask_sums(self):
+        # sigma_x x I and sigma_x x sigma_z both flip bit 1: their sum is 2
+        # where sigma_z is +1 and 0 where it is -1
+        op = KronSum(2, (KronTerm(1.0, (pauli("x"), None)),
+                         KronTerm(1.0, (pauli("x"), pauli("z")))))
+        assert np.array_equal(_scatter_dense(op.plan), to_dense(op))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_to_dense(self, rng, n):
+        # one- and two-site terms on every site set, each mask of a single
+        # site shared by the site's own moves and those of its pairs
+        for op in (two_site_kronsum(rng, n), total_component_kronsum("y", n)):
+            want = to_dense(op)
+            got = _scatter_dense(op.plan)
+            assert got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_three_site_term_is_contract_error(self, rng):
+        xxx = KronSum(3, (KronTerm(1.0, (pauli("x"),) * 3),))
+        for op in (xxx, mixed_kronsum(rng, 4)):
+            with pytest.raises(ContractError, match="three or more"):
+                _scatter_dense(op.plan)
+
+
 class TestConservedKronsums:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_total_component_matches_dense(self, n):
@@ -676,6 +705,31 @@ class TestExchangeSum:
         op = total_component_kronsum("z", n)
         assert isinstance(op, ExchangeSum)
         assert_plans_bitwise_equal(op.plan, _compile(op))
+
+    def test_equality_hash_and_repr_build_no_terms(self, monkeypatch):
+        # operators and their plans compare and hash by identity; the repr of
+        # an ExchangeSum is its edge list
+        y = total_component_kronsum("y", 2)
+        y_terms = y.terms
+
+        def refuse(self):
+            raise AssertionError("a KronTerm was built")
+
+        monkeypatch.setattr(KronTerm, "__post_init__", refuse)
+        s_sq, again = total_spin_squared_kronsum(4), total_spin_squared_kronsum(4)
+        h = spec_to_kronsum(chain_spec(3, mu_b0=0.5))
+        for first, second in [(s_sq, again), (s_sq.plan, again.plan),
+                              (s_sq.flip_form, again.flip_form), (y, KronSum(2, y_terms)),
+                              (y_terms[0], y.terms[1])]:
+            assert first == first and first != second
+            assert hash(first) == hash(first)
+            assert len({first, second}) == 2
+        assert repr(h) == ("ExchangeSum(n_sites=3, zeeman=-0.5, "
+                           "edges=((1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)), constant=0.0)")
+        assert repr(s_sq).startswith("ExchangeSum(n_sites=4, zeeman=None, "
+                                     "edges=((1, 2, 0.5, 0.5), ")
+        assert repr(s_sq).endswith(", (3, 4, 0.5, 0.5)), constant=3.0)")
+        assert "terms" not in vars(h) and "terms" not in vars(s_sq)
 
     def test_overflowing_sums_are_refused_by_the_plan(self):
         # finite couplings whose zz diagonal and flip-flop weight 2J overflow
