@@ -3,13 +3,14 @@
 Layers, bottom to top: ``kron_core`` (the product, its laws as executable
 checks, the perfect-shuffle similarity), ``dense_linalg`` (dense matrix
 algebra and a Hermitian eigensolver on LAPACK via numpy), ``spin_algebra``
-(Pauli operators lifted to n-site registers), ``hamiltonian_builder``
-(Zeeman + isotropic exchange Hamiltonians from declarative specs),
-``matfree_engine`` (the same operators, S_axis and S^2 as a diagonal plus
-strided moves for 2^n state vectors, written from the edge list for H and
-S^2, the dense Hamiltonian and spin totals scattered from its flip form, and
-a Lanczos extremal eigensolver),
-``matrix_io`` (text matrix round-tripping) and ``cli`` (batch front end).
+(Pauli operators lifted to n-site registers), ``matfree_engine`` (sums of
+Kronecker terms, among them the spec Hamiltonian, S_axis and S^2, as a
+diagonal plus strided moves for 2^n state vectors, written from the edge
+list for H and S^2, the dense Hamiltonian and spin totals scattered from its
+flip form, and a Lanczos extremal eigensolver), ``hamiltonian_builder``
+(Zeeman + isotropic exchange Hamiltonians from declarative specs, built
+dense through ``matfree_engine``'s scatter), ``matrix_io`` (text matrix
+round-tripping) and ``cli`` (batch front end).
 """
 
 from .errors import (

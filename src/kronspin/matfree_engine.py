@@ -402,26 +402,17 @@ def _flip_form(plan: MatvecPlan) -> FlipForm:
 
 
 def _apply_site(src, f, slot: int, n: int, out) -> None:
-    """out = (I x ... x f x ... x I) src with f at 0-based slot; site k + 1
-    is bit n - k - 1, i.e. axis `slot` of the (2, ..., 2) amplitude cube."""
-    pre = 1 << slot
-    post = 1 << (n - slot - 1)
-    s3 = src.reshape(pre, 2, post)
-    o3 = out.reshape(pre, 2, post)
-    v0, v1 = s3[:, 0, :], s3[:, 1, :]
-    o0, o1 = o3[:, 0, :], o3[:, 1, :]
-    f00, f01, f10, f11 = f[0, 0], f[0, 1], f[1, 0], f[1, 1]
-    if f01 == 0 and f10 == 0:
-        np.multiply(v0, f00, out=o0)
-        np.multiply(v1, f11, out=o1)
-    elif f00 == 0 and f11 == 0:
-        np.multiply(v1, f01, out=o0)
-        np.multiply(v0, f10, out=o1)
-    else:
-        np.multiply(v0, f00, out=o0)
-        o0 += f01 * v1
-        np.multiply(v0, f10, out=o1)
-        o1 += f11 * v1
+    """out = (I x ... x f x ... x I) src with f at 0-based slot, site k + 1
+    being bit n - k - 1.  Output half b sums, over the nonzero f[b, c] with
+    c = 0 then 1, f[b, c] times input half c, the first product written and
+    the second added; a row with no nonzero entry is f[b, b] times half b."""
+    v = src.reshape(1 << slot, 2, 1 << (n - slot - 1))
+    o = out.reshape(v.shape)
+    for b, row in enumerate(f.tolist()):
+        first, *rest = [c for c in (0, 1) if row[c]] or [b]
+        half = np.multiply(v[:, first], row[first], out=o[:, b])
+        for c in rest:
+            half += row[c] * v[:, c]
 
 
 def matvec(op: KronSum, x) -> np.ndarray:
@@ -470,18 +461,17 @@ def matvec(op: KronSum, x) -> np.ndarray:
         # iterate the smallest stride innermost
         np.add(out, part, out=out, order="C")
     if plan.fallback:
-        n = op.n_sites
         ping = np.empty(dim, dtype=np.complex128)
         pong = np.empty(dim, dtype=np.complex128)
         for term in plan.fallback:
-            src = x
-            dst = ping
+            v = x
             for slot in term.active_slots:
-                _apply_site(src, term.factors[slot], slot, n, dst)
-                src = dst
-                dst = pong if dst is ping else ping
-            np.multiply(src, term.coefficient, out=dst)
-            y += dst
+                out = pong if v is ping else ping
+                _apply_site(v, term.factors[slot], slot, op.n_sites, out)
+                v = out
+            # a fallback term has three or more sites, so v is never x
+            v *= term.coefficient
+            y += v
     return y
 
 
@@ -675,7 +665,12 @@ def total_spin_squared(n: int) -> np.ndarray:
     return _scatter_dense(total_spin_squared_kronsum(n).plan)
 
 
-def _hermitian_sample_check(op: KronSum, rng, pairs: int = 2, rtol: float = 1e-8) -> None:
+# probe pairs the Hermitian sample check draws, and its relative tolerance
+_SAMPLE_PAIRS = 2
+_SAMPLE_RTOL = 1e-8
+
+
+def _hermitian_sample_check(op: KronSum, rng) -> None:
     """<x, op y> == conj(<y, op x>) on random probe pairs.  A real plan gets
     float64 probes, so its matvecs stay float64: for a real matrix, x^T A y
     == y^T A x on random real x, y is the whole symmetry condition.  Any
@@ -692,12 +687,12 @@ def _hermitian_sample_check(op: KronSum, rng, pairs: int = 2, rtol: float = 1e-8
             return x
         return x + 1j * rng.standard_normal(dim)
 
-    for _ in range(pairs):
+    for _ in range(_SAMPLE_PAIRS):
         x = probe()
         y = probe()
         lhs = np.vdot(x, matvec(op, y))
         rhs = np.conj(np.vdot(y, matvec(op, x)))
-        if abs(lhs - rhs) > rtol * max(1.0, abs(lhs), abs(rhs)):
+        if abs(lhs - rhs) > _SAMPLE_RTOL * max(1.0, abs(lhs), abs(rhs)):
             raise ContractError(
                 f"operator fails the Hermitian sample check: <x, Ay> = {lhs:.6e} "
                 f"but conj(<y, Ax>) = {rhs:.6e}"
@@ -739,11 +734,17 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     max(300, 3k).  Deterministic for a fixed seed.  Raises ConvergenceError
     (carrying the best estimates, its message naming the first pass or
     verification pass p of k) when a budget runs out, ContractError if the
-    operator fails a random-vector Hermitian check, and SizingError up front
-    when twice the plan's ``norm_bound``, squared, is past the double range.
+    operator fails a random-vector Hermitian check, and up front, before
+    any draw, ContractError when ``k`` is not an int or ``tol`` not finite
+    and positive and SizingError when twice the plan's ``norm_bound``,
+    squared, is past the double range.
     """
     if which not in ("lowest", "highest"):
         raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ContractError(f"k must be an integer, got {k!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ContractError(f"tol must be a finite positive number, got {tol}")
     dim = op.dimension
     if not 1 <= k <= dim:
         raise ContractError(f"k must be in 1..{dim}, got {k}")

@@ -351,6 +351,14 @@ class TestSpectrum:
         assert "state allocation failed at n=56" in err
         assert "Traceback" not in err
 
+    def test_spec_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        assert run(["spectrum", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "kronspin: error: spec must be a JSON object, got list\n"
+        assert captured.out == ""
+
     def test_bad_spec_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -727,6 +735,20 @@ class TestBench:
 
     def test_rejects_empty_range(self, capsys):
         assert run(["bench", "--n-list", "6..4"]) == EXIT_USAGE
+
+    def test_rejects_a_list_without_sizes(self, capsys):
+        assert run(["bench", "--n-list", ","]) == EXIT_USAGE
+        assert capsys.readouterr().err == "kronspin: error: --n-list is empty\n"
+
+    def test_unallocatable_state_is_capacity_error(self, capsys, monkeypatch):
+        def exhausted(op, x):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "matvec", exhausted)
+        assert run(["bench", "--n-list", "4"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.err == "kronspin: error: state allocation failed at n=4 (2^4 amplitudes)\n"
+        assert captured.out == ""
 
 
 class TestNegativeSeed:

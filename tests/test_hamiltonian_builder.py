@@ -79,6 +79,10 @@ class TestEdgesAndSpecs:
         with pytest.raises(ContractError):
             HamiltonianSpec(3, 0.0, (CouplingEdge(1, 3, 1.0), CouplingEdge(3, 1, 2.0)))
 
+    def test_spec_rejects_couplings_that_are_not_edges(self):
+        with pytest.raises(ContractError, match="CouplingEdge instances"):
+            HamiltonianSpec(2, 1.0, ((1, 2, 1.0),))
+
     def test_spec_rejects_bad_site_count(self):
         with pytest.raises(ContractError):
             HamiltonianSpec(0, 0.0)

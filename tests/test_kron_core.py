@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronspin import dense_linalg, kron_core
-from kronspin._common import frobenius
+from kronspin._common import as_matrix, frobenius
 from kronspin.errors import ShapeError, SingularityError, SizingError
 from kronspin.kron_core import (
     MAX_KRON_ELEMENTS,
@@ -299,6 +299,20 @@ class TestCheckProperty:
         rep = check_property(8, [SX, SX])
         assert rep.passed and rep.note == "commute (equal operands)"
 
+    def test_property_8_equal_rectangular_operands(self):
+        # not square, so no scalar identity: judged as equal operands
+        a = np.arange(6.0).reshape(2, 3)
+        rep = check_property(8, [a, a.copy()])
+        assert rep.passed and rep.note == "commute (equal operands)"
+
+    @pytest.mark.parametrize("index, operands", [
+        (3, [np.eye(2), np.ones((2, 3)), SX]),
+        (4, [SX, np.eye(2), np.ones((3, 3))]),
+    ])
+    def test_summands_must_share_shape(self, index, operands):
+        with pytest.raises(ShapeError, match="summands must share shape"):
+            check_property(index, operands)
+
     def test_property_8_unexpected_coincidence_fails(self):
         # a scalar multiple of b commutes with it under kron, but is neither
         # equal to it nor a scalar identity: flagged as a failed claim
@@ -368,6 +382,14 @@ class TestCheckProperty:
             warnings.simplefilter("error")
             with pytest.raises(SizingError, match="past the double range"):
                 check_property(8, [a, b])
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [], np.zeros((0, 2))],
+                             ids=["1-D", "empty", "no rows"])
+    def test_refuses_what_is_not_a_matrix(self, values):
+        with pytest.raises(ShapeError, match="2-D matrix with positive dimensions"):
+            as_matrix(values)
 
 
 class TestFrobenius:

@@ -14,6 +14,7 @@ from kronspin.errors import (
     ContractError,
     ConvergenceError,
     ShapeError,
+    SiteRangeError,
     SizingError,
 )
 from kronspin.hamiltonian_builder import (
@@ -108,6 +109,10 @@ class TestTermAndSumValidation:
 
     def test_dimension(self):
         assert KronSum(5, ()).dimension == 32
+
+    def test_terms_must_be_kron_terms(self):
+        with pytest.raises(ContractError, match="KronTerm instances"):
+            KronSum(2, ((1.0, (None, None)),))
 
 
 class TestToDense:
@@ -473,6 +478,52 @@ class TestMatvecOracle:
         assert plan.shared_weight is None
 
 
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+PROJECTOR_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
+TRIANGULAR = np.array([[0.6 - 0.3j, 1.2 + 0.4j], [0.0, -0.8 + 0.5j]])
+GENERAL = np.array([[0.3 + 0.7j, -1.1 + 0.2j], [0.9 - 0.4j, 0.5 + 1.3j]])
+
+
+class TestFallbackSiteRule:
+    """A term on three or more sites is applied one factor at a time: output
+    half b sums f[b, c] times input half c over the nonzero entries of row
+    b.  Pauli, sigma+ and projector entries are 0, +-1 or +-i, so every
+    product is exact and the matvec equals the dense product exactly."""
+
+    @staticmethod
+    def three_site_term(n, factors):
+        slots = [None] * n
+        for slot, f in zip((0, n // 2, n - 1), factors):
+            slots[slot] = f
+        op = KronSum(n, (KronTerm(1.0, tuple(slots)),))
+        assert len(op.plan.fallback) == 1
+        return op
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    @pytest.mark.parametrize("factors", [
+        (pauli("x"), pauli("y"), pauli("z")),
+        (pauli("z"), pauli("x"), pauli("y")),
+        (SIGMA_PLUS, SIGMA_PLUS, SIGMA_PLUS),
+        (PROJECTOR_UP, SIGMA_PLUS, pauli("x")),
+    ], ids=["xyz", "zxy", "sigma-plus", "projector"])
+    def test_exact_factors_match_dense_exactly(self, rng, n, factors):
+        op = self.three_site_term(n, factors)
+        x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        assert np.array_equal(matvec(op, x), to_dense(op) @ x)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    @pytest.mark.parametrize("factors", [
+        (TRIANGULAR, TRIANGULAR, TRIANGULAR),
+        (GENERAL, GENERAL, GENERAL),
+        (pauli("x"), GENERAL, TRIANGULAR.T),
+    ], ids=["triangular", "general", "mixed"])
+    def test_other_factors_match_dense(self, rng, n, factors):
+        op = self.three_site_term(n, factors)
+        x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        want = to_dense(op) @ x
+        assert np.linalg.norm(matvec(op, x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def two_site_kronsum(rng, n: int) -> KronSum:
     """mixed_kronsum without its terms on three sites."""
     op = mixed_kronsum(rng, n)
@@ -594,6 +645,10 @@ class TestConservedKronsums:
             total_component_kronsum("z", 0)
         with pytest.raises(ContractError):
             total_spin_squared_kronsum(0)
+
+    def test_dense_spin_squared_needs_a_site(self):
+        with pytest.raises(SiteRangeError, match="site count must be >= 1"):
+            total_spin_squared(0)
 
 
 def assert_plans_bitwise_equal(got, want):
@@ -848,6 +903,34 @@ class TestLanczos:
             lanczos_extremal(op, k=0)
         with pytest.raises(ContractError):
             lanczos_extremal(op, k=5)
+
+    def test_max_iter_below_k(self):
+        with pytest.raises(ContractError, match="max_iter 2 cannot deliver k = 3"):
+            lanczos_extremal(spec_to_kronsum(chain_spec(3)), k=3, max_iter=2)
+
+    @staticmethod
+    def refuse_sampling(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Hermitian sample check drew probes")
+
+        monkeypatch.setattr(matfree_engine, "_hermitian_sample_check", refuse)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tol_must_be_finite_positive(self, monkeypatch, tol):
+        # tols that judge nothing: inf accepts an early Ritz value (-15.97 on
+        # this chain, whose ground energy is -21.44), and no residual meets
+        # nan, 0 or -1, so the run would spend all 300 steps
+        self.refuse_sampling(monkeypatch)
+        op = spec_to_kronsum(chain_spec(12))
+        with pytest.raises(ContractError, match="tol must be a finite positive number"):
+            lanczos_extremal(op, tol=tol)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_k_must_be_an_int(self, monkeypatch, k):
+        self.refuse_sampling(monkeypatch)
+        op = spec_to_kronsum(chain_spec(12))
+        with pytest.raises(ContractError, match="k must be an integer"):
+            lanczos_extremal(op, k=k)
 
     def test_bad_which(self):
         with pytest.raises(ValueError):
