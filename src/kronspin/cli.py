@@ -19,6 +19,9 @@ validating against docs/run_report.schema.json; every result row names its
 check and the tolerance it was judged against (null for pure measurements).
 The CLI is batch-only; dense spectra come from LAPACK through ``eigh`` and
 matrix-free spectra from serial ``matvec`` passes inside Lanczos.
+
+Each ``cmd_*`` handler takes the parsed ``argparse.Namespace``; every flag's
+default is set once, in ``build_parser``.
 """
 
 from __future__ import annotations
@@ -162,20 +165,20 @@ def _aggregate(rows) -> bool:
 # kron
 
 
-def cmd_kron(file_a: str, file_b: str, out: str | None = None, as_json: bool = False) -> int:
+def cmd_kron(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if as_json and out is None:
+    if args.json and args.out is None:
         return _fail("--json needs --out for kron (matrices are not embedded in reports)", EXIT_USAGE)
-    a = load_matrix(file_a)
-    b = load_matrix(file_b)
+    a = load_matrix(args.file_a)
+    b = load_matrix(args.file_b)
     product = kron_core.kron(a, b)
     summary = (
         f"({a.shape[0]} x {a.shape[1]}) kron ({b.shape[0]} x {b.shape[1]}) = "
         f"({product.shape[0]} x {product.shape[1]}); dimensions multiply factorwise"
     )
-    if out is not None:
-        save_matrix(product, out)
-    if as_json:
+    if args.out is not None:
+        save_matrix(product, args.out)
+    if args.json:
         row = {
             "name": "kron dimension law",
             "tolerance": None,
@@ -184,10 +187,10 @@ def cmd_kron(file_a: str, file_b: str, out: str | None = None, as_json: bool = F
             "cols": product.shape[1],
             "note": summary,
         }
-        sys.stdout.write(_report_json("kron", [file_a, file_b], [row], started))
+        sys.stdout.write(_report_json("kron", [args.file_a, args.file_b], [row], started))
     else:
         print(summary)
-        if out is None:
+        if args.out is None:
             sys.stdout.write(format_matrix(product))
     return EXIT_OK
 
@@ -196,16 +199,15 @@ def cmd_kron(file_a: str, file_b: str, out: str | None = None, as_json: bool = F
 # verify-properties
 
 
-def cmd_verify_properties(
-    file_a: str, file_b: str, tol: float = DEFAULT_TOL, as_json: bool = False
-) -> int:
+def cmd_verify_properties(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    tol = args.tol
     # an infinite or NaN bound judges nothing; the checks would refuse the
     # first as an overflow
     if not (math.isfinite(tol) and tol >= 0):
         return _fail(f"--tol must be a finite non-negative number, got {tol!r}", EXIT_USAGE)
-    a = load_matrix(file_a)
-    b = load_matrix(file_b)
+    a = load_matrix(args.file_a)
+    b = load_matrix(args.file_b)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1] or a.shape != b.shape:
         return _fail(
             f"property suite needs square matrices of equal dimension, got "
@@ -251,8 +253,8 @@ def cmd_verify_properties(
         rows.extend(_residual_row(extra) for extra in rep.extras)
 
     ok = _aggregate(rows)
-    if as_json:
-        sys.stdout.write(_report_json("verify-properties", [file_a, file_b], rows, started))
+    if args.json:
+        sys.stdout.write(_report_json("verify-properties", [args.file_a, args.file_b], rows, started))
     else:
         _print_check_table(rows)
         print(f"aggregate: {'all checks pass' if ok else 'CHECKS FAILED'}")
@@ -268,17 +270,11 @@ def _spec_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def cmd_spectrum(
-    spec_path: str,
-    engine: str = "dense",
-    k: int | None = None,
-    which: str = "lowest",
-    out: str | None = None,
-    as_json: bool = False,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    spec_path, engine, k, which, tol, seed = (
+        args.spec, args.engine, args.k, args.which, args.tol, args.seed
+    )
     spec = load_spec(spec_path)
     if k is not None and k < 1:
         return _fail(f"--k must be >= 1, got {k}", EXIT_USAGE)
@@ -307,7 +303,7 @@ def cmd_spectrum(
         note = f"{values.shape[0]} {which} of {spectrum.dimension} (Lanczos, tol {tol}, seed {seed})"
 
     values = np.asarray(values, dtype=np.float64)
-    if as_json:
+    if args.json:
         row = {
             "name": f"spectrum ({engine})",
             "tolerance": tol if engine == "lanczos" else None,
@@ -318,11 +314,11 @@ def cmd_spectrum(
             "eigenvalues": [float(v) for v in values],
             "note": note,
         }
-        _emit(_report_json("spectrum", [spec_path], [row], started), out)
+        _emit(_report_json("spectrum", [spec_path], [row], started), args.out)
     else:
         lines = [f"# spec_sha256={sha}", f"# engine={engine}", "index,eigenvalue"]
         lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(values))
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -330,15 +326,10 @@ def cmd_spectrum(
 # conserved
 
 
-def cmd_conserved(
-    spec_path: str,
-    tol: float = CONSERVED_TOL,
-    seed: int = 0,
-    z_scale: float = 1.0,
-    as_json: bool = False,
-) -> int:
+def cmd_conserved(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    spec = load_spec(spec_path)
+    tol, seed, z_scale = args.tol, args.seed, args.debug_anisotropy
+    spec = load_spec(args.spec)
     refused = _refusal(tol, seed)
     if refused:
         return _fail(refused, EXIT_USAGE)
@@ -411,8 +402,8 @@ def cmd_conserved(
         for (name, _, _, bound), value in zip(pairs, measured)
     ]
     ok = _aggregate(rows)
-    if as_json:
-        sys.stdout.write(_report_json("conserved", [spec_path], rows, started))
+    if args.json:
+        sys.stdout.write(_report_json("conserved", [args.spec], rows, started))
     else:
         _print_check_table(rows)
         print(f"aggregate: {'all conserved' if ok else 'CONSERVATION VIOLATED'}")
@@ -424,13 +415,15 @@ def cmd_conserved(
 
 
 def _parse_n_list(text: str):
+    """The sizes of ``--n-list``; a range ``lo..hi`` stays a range object, so
+    its ends are checked without building it."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -444,31 +437,28 @@ def _bench_spec(n: int, topology: str) -> HamiltonianSpec:
     return HamiltonianSpec(n, 1.0, tuple(edges))
 
 
-def cmd_bench(
-    n_list: str,
-    topology: str = "chain",
-    repeats: int = 3,
-    seed: int = 0,
-    as_json: bool = False,
-) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    topology, repeats = args.topology, args.repeats
     try:
-        sizes = _parse_n_list(n_list)
+        sizes = _parse_n_list(args.n_list)
     except ValueError as err:
         return _fail(f"bad --n-list: {err}", EXIT_USAGE)
     if not sizes:
         return _fail("--n-list is empty", EXIT_USAGE)
-    if any(n < 2 for n in sizes):
-        return _fail(f"site counts must be >= 2, got {sizes}", EXIT_USAGE)
+    # min() and max() would walk every size of a range
+    least, largest = (sizes[0], sizes[-1]) if isinstance(sizes, range) else (min(sizes), max(sizes))
+    if least < 2:
+        return _fail(f"site counts must be >= 2, got {least}", EXIT_USAGE)
     if repeats < 1:
         return _fail(f"--repeats must be >= 1, got {repeats}", EXIT_USAGE)
-    refused = _refusal(None, seed)
+    refused = _refusal(None, args.seed)
     if refused:
         return _fail(refused, EXIT_USAGE)
-    if max(sizes) > MAX_STATE_SITES:
-        return _fail(_state_alloc_message(max(sizes)), EXIT_CAPACITY)
+    if largest > MAX_STATE_SITES:
+        return _fail(_state_alloc_message(largest), EXIT_CAPACITY)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for n in sizes:
         op = spec_to_kronsum(_bench_spec(n, topology))
@@ -513,7 +503,7 @@ def cmd_bench(
         }
         rows.append(fit_row)
 
-    if as_json:
+    if args.json:
         sys.stdout.write(_report_json("bench", [], rows, started))
     else:
         print(f"{'n':>4}  {'dim':>10}  {'terms':>6}  {'best seconds':>13}  {'amplitudes touched':>19}")
@@ -556,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.add_argument("--out", help="write the product here (matrix text); default stdout")
     p.add_argument("--json", action="store_true", help="emit a run report (needs --out)")
-    p.set_defaults(handler=lambda a: cmd_kron(a.file_a, a.file_b, a.out, a.json))
+    p.set_defaults(handler=cmd_kron)
 
     p = sub.add_parser(
         "verify-properties", help="run the eight Kronecker-law checks on a square pair"
@@ -567,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual tolerance, relative to max(1, ||rhs||_F) for P2-P7; "
                         "absolute for P1 and P8")
     p.add_argument("--json", action="store_true", help="emit a run report instead of a table")
-    p.set_defaults(handler=lambda a: cmd_verify_properties(a.file_a, a.file_b, a.tol, a.json))
+    p.set_defaults(handler=cmd_verify_properties)
 
     p = sub.add_parser("spectrum", help="eigenvalues of a Hamiltonian spec (JSON file)")
     p.add_argument("spec")
@@ -578,11 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write here instead of stdout")
     p.add_argument("--tol", type=float, default=1e-8, help="Lanczos residual tolerance")
     p.add_argument("--seed", type=int, default=0, help="Lanczos start-vector seed")
-    p.set_defaults(
-        handler=lambda a: cmd_spectrum(
-            a.spec, a.engine, a.k, a.which, a.out, a.json, a.tol, a.seed
-        )
-    )
+    p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("conserved", help="commutator residuals of S_z and S^2 with H")
     p.add_argument("spec")
@@ -597,9 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="XXZ anisotropy Delta: scale z-z coupling terms; any value but 1 breaks isotropy",
     )
     p.add_argument("--json", action="store_true", help="emit a run report instead of a table")
-    p.set_defaults(
-        handler=lambda a: cmd_conserved(a.spec, a.tol, a.seed, a.debug_anisotropy, a.json)
-    )
+    p.set_defaults(handler=cmd_conserved)
 
     p = sub.add_parser("bench", help="time matrix-free matvecs across register sizes")
     p.add_argument("--n-list", required=True, help="sizes: comma list '10,12,14' or range '10..14'")
@@ -608,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3, help="timed runs per size (best is reported)")
     p.add_argument("--seed", type=int, default=0, help="state-vector seed")
     p.add_argument("--json", action="store_true", help="emit a run report instead of a table")
-    p.set_defaults(handler=lambda a: cmd_bench(a.n_list, a.topology, a.repeats, a.seed, a.json))
+    p.set_defaults(handler=cmd_bench)
 
     return parser
 

@@ -735,9 +735,9 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     (carrying the best estimates, its message naming the first pass or
     verification pass p of k) when a budget runs out, ContractError if the
     operator fails a random-vector Hermitian check, and up front, before
-    any draw, ContractError when ``k`` is not an int or ``tol`` not finite
-    and positive and SizingError when twice the plan's ``norm_bound``,
-    squared, is past the double range.
+    any draw, ContractError when ``k`` or ``max_iter`` is not an int or
+    ``tol`` not finite and positive and SizingError when twice the plan's
+    ``norm_bound``, squared, is past the double range.
     """
     if which not in ("lowest", "highest"):
         raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
@@ -750,6 +750,10 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         raise ContractError(f"k must be in 1..{dim}, got {k}")
     if max_iter is None:
         max_iter = max(300, 3 * k)
+    # every budget test is spent == max_iter, which a float such as 8.5
+    # never meets
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+        raise ContractError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < k:
         raise ContractError(f"max_iter {max_iter} cannot deliver k = {k} values")
     # the norms below square the entries of op x, each at most the bound in

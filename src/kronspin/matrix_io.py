@@ -70,7 +70,9 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ParseError(f"expected {rows} data row(s), got {len(lines) - 1}",
                          line=min(len(lines), rows) + 1, column=1)
 
-    out = np.empty((rows, cols), dtype=np.complex128)
+    # the array is built from entries already read: a header alone may claim
+    # more entries than memory holds
+    entries = []
     for r in range(rows):
         line_no = r + 2
         tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(lines[r + 1])]
@@ -78,7 +80,7 @@ def parse_matrix(text: str) -> np.ndarray:
             col = tokens[cols][1] if len(tokens) > cols else len(lines[r + 1]) + 1
             raise ParseError(f"row has {len(tokens)} entries, expected {cols}",
                              line=line_no, column=col)
-        for c, (token, col) in enumerate(tokens):
+        for token, col in tokens:
             match = _ENTRY_RE.match(token)
             if match is None:
                 raise ParseError(f"malformed entry {token!r}", line=line_no, column=col)
@@ -88,7 +90,8 @@ def parse_matrix(text: str) -> np.ndarray:
                 im_part = float(match.group(3))
                 if match.group(2) == "-":
                     im_part = -im_part
-            out[r, c] = complex(re_part, im_part)
+            entries.append(complex(re_part, im_part))
+    out = np.array(entries, dtype=np.complex128).reshape(rows, cols)
     # float() reads a decimal past the double range, such as 1e400, as inf
     overflow = np.flatnonzero(~np.isfinite(out))
     if overflow.size:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -127,6 +128,16 @@ class TestKron:
         _, _, pa, pb = mat_pair
         assert run(["kron", pa, pb, "--json"]) == EXIT_USAGE
         assert "kronspin: error:" in capsys.readouterr().err
+
+    def test_header_past_memory_is_usage_error(self, tmp_path, capsys, mat_pair):
+        _, _, pa, _ = mat_pair
+        claimed = tmp_path / "claimed.txt"
+        claimed.write_text("1 1000000000000\n1\n")
+        assert run(["kron", str(claimed), pa]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"kronspin: error: {claimed}: row has 1 entries, expected 1000000000000 "
+            "(line 2, column 2)\n"
+        )
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, mat_pair):
         _, _, pa, pb = mat_pair
@@ -735,6 +746,24 @@ class TestBench:
 
     def test_rejects_empty_range(self, capsys):
         assert run(["bench", "--n-list", "6..4"]) == EXIT_USAGE
+
+    def test_tiny_site_in_a_range_is_named(self, capsys):
+        assert run(["bench", "--n-list", "1..300000"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "kronspin: error: site counts must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("hi", [1000000, 1000000000000])
+    def test_range_past_the_state_cap_is_refused_unbuilt(self, capsys, hi):
+        tracemalloc.start()
+        try:
+            code = run(["bench", "--n-list", f"2..{hi}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            f"kronspin: error: state allocation failed at n={hi} (2^{hi} amplitudes)\n"
+        )
+        assert peak < 1 << 20
 
     def test_rejects_a_list_without_sizes(self, capsys):
         assert run(["bench", "--n-list", ","]) == EXIT_USAGE

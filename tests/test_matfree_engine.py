@@ -932,6 +932,15 @@ class TestLanczos:
         with pytest.raises(ContractError, match="k must be an integer"):
             lanczos_extremal(op, k=k)
 
+    @pytest.mark.parametrize("max_iter", [8.5, 8.0, True])
+    def test_max_iter_must_be_an_int(self, monkeypatch, max_iter):
+        # every budget test is spent == max_iter: 8.5 is never met, and a
+        # tol no residual reaches would run without end
+        self.refuse_sampling(monkeypatch)
+        op = spec_to_kronsum(chain_spec(6))
+        with pytest.raises(ContractError, match="max_iter must be an integer"):
+            lanczos_extremal(op, tol=1e-30, max_iter=max_iter)
+
     def test_bad_which(self):
         with pytest.raises(ValueError):
             lanczos_extremal(spec_to_kronsum(chain_spec(2)), which="middle")

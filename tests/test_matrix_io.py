@@ -108,6 +108,12 @@ class TestParse:
             parse_matrix("1 3\n1 2\n")
         assert err.value.line == 2
 
+    def test_header_claiming_more_entries_than_rows_hold(self):
+        # a 14.6 TiB header: the row is refused before any array is built
+        with pytest.raises(ParseError, match="row has 1 entries, expected 1000000000000") as err:
+            parse_matrix("1 1000000000000\n1\n")
+        assert (err.value.line, err.value.column) == (2, 2)
+
     def test_malformed_entry_reports_line_and_column(self):
         with pytest.raises(ParseError) as err:
             parse_matrix("2 2\n1 2\n3 4+5j\n")
