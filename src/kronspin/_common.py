@@ -38,6 +38,12 @@ def as_square(values, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool: True is an int to Python
+    but names no site, count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, the distance measure behind every residual report.
 

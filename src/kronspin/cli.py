@@ -12,9 +12,9 @@ residual over seeded real unit probe vectors (method ``probe``).
 
 Exit codes are stable: 0 ok, 1 checks ran but at least one failed, 2 usage or
 parse error, 3 capacity/allocation, 4 engine mismatch (dense request above
-the dense cap), 5 iterative non-convergence.  A command returns 0 or 1, or
-refuses its own flag values; ``run`` maps every error the library raises to
-its code, in one table.  ``--json`` emits a run report
+the dense cap), 5 iterative non-convergence.  A command returns 0 or 1 and
+raises every refusal, its own flag checks included; ``run`` maps each error
+to its code, in one table, and is the only code that prints an error.  ``--json`` emits a run report
 validating against docs/run_report.schema.json; every result row names its
 check and the tolerance it was judged against (null for pure measurements).
 The CLI is batch-only; dense spectra come from LAPACK through ``eigh`` and
@@ -90,16 +90,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _refusal(tol: float | None, seed: int) -> str | None:
-    """Why a residual bound ``--tol`` (finite and positive: an infinite or
-    NaN bound judges nothing; None when the command has none) or a
-    ``--seed`` (numpy's generators take only non-negative integers) is
-    refused, or None."""
+def _refuse(tol: float | None, seed: int) -> None:
+    """Refuse, with ContractError, a residual bound ``--tol`` that is not
+    finite and positive (an infinite or NaN bound judges nothing; None when
+    the command has none) or a negative ``--seed`` (numpy's generators take
+    only non-negative integers)."""
     if tol is not None and not (math.isfinite(tol) and tol > 0):
-        return f"--tol must be a finite positive number, got {tol!r}"
+        raise ContractError(f"--tol must be a finite positive number, got {tol!r}")
     if seed < 0:
-        return f"--seed must be a non-negative integer, got {seed}"
-    return None
+        raise ContractError(f"--seed must be a non-negative integer, got {seed}")
 
 
 def _state_alloc_message(n: int) -> str:
@@ -168,7 +167,7 @@ def _aggregate(rows) -> bool:
 def cmd_kron(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.json and args.out is None:
-        return _fail("--json needs --out for kron (matrices are not embedded in reports)", EXIT_USAGE)
+        raise ContractError("--json needs --out for kron (matrices are not embedded in reports)")
     a = load_matrix(args.file_a)
     b = load_matrix(args.file_b)
     product = kron_core.kron(a, b)
@@ -205,14 +204,13 @@ def cmd_verify_properties(args: argparse.Namespace) -> int:
     # an infinite or NaN bound judges nothing; the checks would refuse the
     # first as an overflow
     if not (math.isfinite(tol) and tol >= 0):
-        return _fail(f"--tol must be a finite non-negative number, got {tol!r}", EXIT_USAGE)
+        raise ContractError(f"--tol must be a finite non-negative number, got {tol!r}")
     a = load_matrix(args.file_a)
     b = load_matrix(args.file_b)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1] or a.shape != b.shape:
-        return _fail(
+        raise ContractError(
             f"property suite needs square matrices of equal dimension, got "
-            f"{a.shape[0]}x{a.shape[1]} and {b.shape[0]}x{b.shape[1]}",
-            EXIT_USAGE,
+            f"{a.shape[0]}x{a.shape[1]} and {b.shape[0]}x{b.shape[1]}"
         )
 
     # Derived operands: the suite is a function of the pair (a, b) alone.
@@ -231,7 +229,7 @@ def cmd_verify_properties(args: argparse.Namespace) -> int:
         try:
             rep = kron_core.check_property(index, operands, scalars=scalars, tol=tol)
         except SizingError as err:
-            return _fail(f"{PROPERTY_NAMES[index]}: {err}", EXIT_CAPACITY)
+            raise SizingError(f"{PROPERTY_NAMES[index]}: {err}") from None
         except SingularityError as err:
             rows.append(
                 {
@@ -277,7 +275,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     )
     spec = load_spec(spec_path)
     if k is not None and k < 1:
-        return _fail(f"--k must be >= 1, got {k}", EXIT_USAGE)
+        raise ContractError(f"--k must be >= 1, got {k}")
     sha = _spec_sha256(spec_path)
 
     if engine == "dense":
@@ -288,17 +286,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             values = values[:take] if which == "lowest" else values[-take:]
         note = f"all {spectrum.dimension} eigenvalues" if k is None else f"{values.shape[0]} {which} of {spectrum.dimension}"
     else:
-        refused = _refusal(tol, seed)
-        if refused:
-            return _fail(refused, EXIT_USAGE)
+        _refuse(tol, seed)
         if spec.n_sites > MAX_STATE_SITES:
-            return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
+            raise SizingError(_state_alloc_message(spec.n_sites))
         op = spec_to_kronsum(spec)
         want = 1 if k is None else k
         try:
             spectrum = lanczos_extremal(op, which=which, k=want, tol=tol, seed=seed)
         except MemoryError:
-            return _fail(_state_alloc_message(spec.n_sites), EXIT_CAPACITY)
+            raise SizingError(_state_alloc_message(spec.n_sites)) from None
         values = spectrum.eigenvalues
         note = f"{values.shape[0]} {which} of {spectrum.dimension} (Lanczos, tol {tol}, seed {seed})"
 
@@ -330,9 +326,7 @@ def cmd_conserved(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tol, seed, z_scale = args.tol, args.seed, args.debug_anisotropy
     spec = load_spec(args.spec)
-    refused = _refusal(tol, seed)
-    if refused:
-        return _fail(refused, EXIT_USAGE)
+    _refuse(tol, seed)
     # max(1, |mu_b0|, |J|, |J * Z_SCALE|): a commutator with H rounds
     # relative to H's largest field or coupling
     h_scale = max([1.0, abs(spec.mu_b0)] + [abs(e.strength) * max(1.0, abs(z_scale)) for e in spec.couplings])
@@ -340,15 +334,15 @@ def cmd_conserved(args: argparse.Namespace) -> int:
     # then inf) before anything is built: the flag's value is at fault, a
     # usage error, though the operator would refuse it too
     if not (math.isfinite(z_scale) and math.isfinite(h_scale)):
-        return _fail(f"--debug-anisotropy must be finite and keep every J * Z_SCALE finite, "
-                     f"got {z_scale!r}", EXIT_USAGE)
+        raise ContractError(f"--debug-anisotropy must be finite and keep every J * Z_SCALE "
+                            f"finite, got {z_scale!r}")
     # an infinite bound judges nothing, and is no JSON number
     if not math.isfinite(tol * h_scale):
-        return _fail(f"--tol {tol!r} times the spec's largest value {h_scale!r} is past the "
-                     "double range", EXIT_USAGE)
+        raise ContractError(f"--tol {tol!r} times the spec's largest value {h_scale!r} is past "
+                            "the double range")
     n = spec.n_sites
     if n > MAX_STATE_SITES:
-        return _fail(_state_alloc_message(n), EXIT_CAPACITY)
+        raise SizingError(_state_alloc_message(n))
     scale_note = "" if z_scale == 1.0 else f"; z couplings scaled by {z_scale:g} (anisotropy injection)"
 
     h = spec_to_kronsum(spec, z_scale)
@@ -388,7 +382,7 @@ def cmd_conserved(args: argparse.Namespace) -> int:
             method = "probe"
             note = f"matrix-free probe at n={n}, {PROBE_COUNT} unit vectors, seed {seed}{scale_note}"
     except MemoryError:
-        return _fail(_state_alloc_message(n), EXIT_CAPACITY)
+        raise SizingError(_state_alloc_message(n)) from None
 
     rows = [
         {
@@ -443,20 +437,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = _parse_n_list(args.n_list)
     except ValueError as err:
-        return _fail(f"bad --n-list: {err}", EXIT_USAGE)
+        raise ContractError(f"bad --n-list: {err}") from None
     if not sizes:
-        return _fail("--n-list is empty", EXIT_USAGE)
+        raise ContractError("--n-list is empty")
     # min() and max() would walk every size of a range
     least, largest = (sizes[0], sizes[-1]) if isinstance(sizes, range) else (min(sizes), max(sizes))
     if least < 2:
-        return _fail(f"site counts must be >= 2, got {least}", EXIT_USAGE)
+        raise ContractError(f"site counts must be >= 2, got {least}")
     if repeats < 1:
-        return _fail(f"--repeats must be >= 1, got {repeats}", EXIT_USAGE)
-    refused = _refusal(None, args.seed)
-    if refused:
-        return _fail(refused, EXIT_USAGE)
+        raise ContractError(f"--repeats must be >= 1, got {repeats}")
+    _refuse(None, args.seed)
     if largest > MAX_STATE_SITES:
-        return _fail(_state_alloc_message(largest), EXIT_CAPACITY)
+        raise SizingError(_state_alloc_message(largest))
 
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -470,7 +462,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             matvec(op, x)  # warm-up: page in buffers before timing
             best = min(_timed_matvec(op, x) for _ in range(repeats))
         except MemoryError:
-            return _fail(_state_alloc_message(n), EXIT_CAPACITY)
+            raise SizingError(_state_alloc_message(n)) from None
         rows.append(
             {
                 "name": f"matvec n={n}",
@@ -489,7 +481,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
 
     fit_row = None
-    if len(sizes) >= 2:
+    # a size listed twice is still one point, through which no line fits
+    if least < largest:
         ns = np.array([r["n_sites"] for r in rows], dtype=np.float64)
         log_t = np.log2(np.array([r["wall_seconds"] for r in rows]))
         slope, intercept = np.polyfit(ns, log_t, 1)

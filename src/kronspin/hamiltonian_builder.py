@@ -36,7 +36,7 @@ import numpy as np
 from ._common import DEFAULT_TOL, frobenius
 from .errors import ContractError, ParseError, SiteRangeError
 from .kron_core import ResidualReport, kron
-from .matfree_engine import _scatter_dense, spec_to_kronsum
+from .matfree_engine import _check_site_count, _scatter_dense, spec_to_kronsum
 from .spin_algebra import AXES, _check_capacity, pauli
 # kept importable here: benchmark/tracing.py wraps hamiltonian_builder.lift
 from .spin_algebra import lift  # noqa: F401
@@ -91,9 +91,7 @@ class HamiltonianSpec:
     couplings: tuple[CouplingEdge, ...] = ()
 
     def __post_init__(self):
-        if (not isinstance(self.n_sites, int) or isinstance(self.n_sites, bool)
-                or self.n_sites < 1):
-            raise ContractError(f"n_sites must be a positive integer, got {self.n_sites!r}")
+        _check_site_count(self.n_sites)
         object.__setattr__(self, "mu_b0", _finite_float(self.mu_b0, "mu_b0"))
         object.__setattr__(self, "couplings", tuple(self.couplings))
         seen = set()

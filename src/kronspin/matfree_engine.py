@@ -80,7 +80,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._common import as_matrix, frobenius
+from ._common import as_matrix, frobenius, is_integer
 from .errors import ContractError, ConvergenceError, ShapeError, SiteRangeError, SizingError
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
@@ -556,7 +556,8 @@ class ExchangeSum(KronSum):
     written; ``zeeman`` None means no field.
 
     The constructor refuses, with ContractError, a non-finite field, constant
-    or coupling and an edge that is not two sites 1 <= i < j <= n_sites.
+    or coupling and an edge that is not four entries whose sites are
+    integers (Python or numpy, not bool) with 1 <= i < j <= n_sites.
     Neither the plan nor the terms are built until first read."""
 
     zeeman: float | None
@@ -566,7 +567,12 @@ class ExchangeSum(KronSum):
     def __init__(self, n_sites: int, zeeman, edges, constant: float = 0.0):
         _check_site_count(n_sites)
         edges = tuple(edges)
-        for i, j, *_ in edges:
+        for edge in edges:
+            if len(edge) != 4:
+                raise ContractError(f"exchange edge {edge!r} is not (i, j, j_xy, j_z)")
+            i, j = edge[:2]
+            if not (is_integer(i) and is_integer(j)):
+                raise ContractError(f"exchange edge sites must be integers, got ({i!r}, {j!r})")
             if not 1 <= i < j <= n_sites:
                 raise ContractError(f"exchange edge ({i}, {j}) is not 1 <= i < j <= {n_sites}")
         # zeeman None, no field, is checked as 0
@@ -735,8 +741,9 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     (carrying the best estimates, its message naming the first pass or
     verification pass p of k) when a budget runs out, ContractError if the
     operator fails a random-vector Hermitian check, and up front, before
-    any draw, ContractError when ``k`` or ``max_iter`` is not an int or
-    ``tol`` not finite and positive and SizingError when twice the plan's
+    any draw, ContractError when ``k`` or ``max_iter`` is not an int,
+    ``seed`` not a non-negative integer (a bool is refused) or ``tol`` not
+    finite and positive and SizingError when twice the plan's
     ``norm_bound``, squared, is past the double range.
     """
     if which not in ("lowest", "highest"):
@@ -745,6 +752,8 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         raise ContractError(f"k must be an integer, got {k!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ContractError(f"tol must be a finite positive number, got {tol}")
+    if not is_integer(seed) or seed < 0:
+        raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
     dim = op.dimension
     if not 1 <= k <= dim:
         raise ContractError(f"k must be in 1..{dim}, got {k}")

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._common import as_matrix, as_square, frobenius
-from .errors import CapacityError, ShapeError, SiteRangeError
+from ._common import as_matrix, as_square, frobenius, is_integer
+from .errors import CapacityError, ContractError, ShapeError, SiteRangeError
 from .kron_core import kron
 
 AXES = ("x", "y", "z")
@@ -52,10 +52,14 @@ def lift(local, site: int, n: int) -> np.ndarray:
 
     Returns I_2 x ... x local x ... x I_2 with ``local`` in slot ``site``
     (1-based, leftmost factor first); for n = 1 this is ``local`` itself.
+    A ``site`` or ``n`` that is not an integer, or is a bool, is refused with
+    ContractError: no slot would equal it, and ``local`` would be dropped.
     """
     local = as_matrix(local)
     if local.shape != (2, 2):
         raise ShapeError(f"local operator must be 2x2, got {local.shape}")
+    if not (is_integer(site) and is_integer(n)):
+        raise ContractError(f"site and site count must be integers, got site {site!r} of {n!r}")
     if n < 1:
         raise SiteRangeError(f"site count must be >= 1, got {n}")
     if not 1 <= site <= n:

@@ -362,6 +362,17 @@ class TestSpectrum:
         assert "state allocation failed at n=56" in err
         assert "Traceback" not in err
 
+    def test_lanczos_memory_error_is_capacity_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "lanczos_extremal", exhausted)
+        spec = write_spec(tmp_path, chain_spec(4))
+        assert run(["spectrum", spec, "--engine", "lanczos"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.err == "kronspin: error: state allocation failed at n=4 (2^4 amplitudes)\n"
+        assert captured.out == ""
+
     def test_spec_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text("[]")
@@ -552,6 +563,19 @@ class TestConserved:
         assert "state allocation failed at n=56" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n, stubbed", [(4, "commutator_norm"), (13, "matvec")])
+    def test_memory_error_is_capacity_error(self, tmp_path, capsys, monkeypatch, n, stubbed):
+        # the exact method below the dense cap, the probe method above it
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stubbed, exhausted)
+        assert run(["conserved", write_spec(tmp_path, chain_spec(n))]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.err == (f"kronspin: error: state allocation failed at n={n} "
+                                f"(2^{n} amplitudes)\n")
+        assert captured.out == ""
+
     def test_missing_spec_file(self, tmp_path):
         assert run(["conserved", str(tmp_path / "none.json")]) == EXIT_USAGE
 
@@ -703,6 +727,20 @@ class TestBench:
     def test_single_size_skips_fit(self, capsys):
         assert run(["bench", "--n-list", "5", "--repeats", "1"]) == EXIT_OK
         assert "no exponent fit" in capsys.readouterr().out
+
+    def test_repeated_size_skips_fit(self, capsys, report_schema):
+        # a line through one distinct size made numpy warn RankWarning and
+        # report a meaningless exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bench", "--n-list", "5,5", "--repeats", "1"]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert "single size, no exponent fit" in captured.out
+            assert "scaling exponent" not in captured.out
+            assert captured.err == ""
+            assert run(["bench", "--n-list", "5,5", "--repeats", "1", "--json"]) == EXIT_OK
+        report = check_report(capsys.readouterr().out, report_schema)
+        assert [r["name"] for r in report["results"]] == ["matvec n=5", "matvec n=5"]
 
     def test_topology_choices(self, capsys, report_schema):
         assert run(["bench", "--n-list", "4", "--terms", "all", "--repeats", "1", "--json"]) == EXIT_OK

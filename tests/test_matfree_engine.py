@@ -92,6 +92,23 @@ class TestTermAndSumValidation:
             with pytest.raises(ContractError, match="exchange edge"):
                 ExchangeSum(4, None, [(i, j, 1.0, 1.0)])
 
+    @pytest.mark.parametrize("i, j", [(1.5, 2), (1, 2.0), (True, 2)])
+    def test_exchange_sum_rejects_non_integer_edge_sites(self, i, j):
+        # a float site made the plan raise TypeError, and True counted as 1
+        with pytest.raises(ContractError, match="exchange edge sites must be integers"):
+            ExchangeSum(3, 1.0, [(i, j, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 2, 1.0), (1, 2, 1.0, 1.0, 0.0)])
+    def test_exchange_sum_rejects_an_edge_without_four_entries(self, edge):
+        with pytest.raises(ContractError, match=r"is not \(i, j, j_xy, j_z\)"):
+            ExchangeSum(3, 1.0, [edge])
+
+    def test_exchange_sum_takes_numpy_integer_sites(self):
+        edges = [(np.int64(1), np.int32(2), 1.0, 0.5)]
+        got = ExchangeSum(3, 1.0, edges).plan
+        want = ExchangeSum(3, 1.0, [(1, 2, 1.0, 0.5)]).plan
+        assert np.array_equal(got.diagonal, want.diagonal)
+
     @pytest.mark.parametrize("zeeman, coupling, constant", [
         (1.0, float("inf"), 0.0),
         (1.0, float("nan"), 0.0),
@@ -931,6 +948,20 @@ class TestLanczos:
         op = spec_to_kronsum(chain_spec(12))
         with pytest.raises(ContractError, match="k must be an integer"):
             lanczos_extremal(op, k=k)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, seed):
+        # numpy takes True as seed 1 and refuses -1 and 1.5 with its own
+        # ValueError and TypeError
+        self.refuse_sampling(monkeypatch)
+        op = spec_to_kronsum(chain_spec(6))
+        with pytest.raises(ContractError, match="seed must be a non-negative integer"):
+            lanczos_extremal(op, seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        op = spec_to_kronsum(chain_spec(6))
+        want = lanczos_extremal(op, seed=3).eigenvalues
+        assert np.array_equal(lanczos_extremal(op, seed=np.int64(3)).eigenvalues, want)
 
     @pytest.mark.parametrize("max_iter", [8.5, 8.0, True])
     def test_max_iter_must_be_an_int(self, monkeypatch, max_iter):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronspin.dense_linalg import eigh
-from kronspin.errors import CapacityError, ShapeError, SiteRangeError
+from kronspin.errors import CapacityError, ContractError, ShapeError, SiteRangeError
 from kronspin.kron_core import kron
 from kronspin.matfree_engine import total_component, total_spin_squared
 from kronspin.spin_algebra import (
@@ -101,6 +101,15 @@ class TestLift:
             lift(pauli("x"), 3, 2)
         with pytest.raises(SiteRangeError):
             lift(pauli("x"), 1, 0)
+
+    @pytest.mark.parametrize("site, n", [(1.5, 3), (2.0, 3), (True, 3), (1, 3.0), (1, True)])
+    def test_non_integer_site_or_count_is_refused(self, site, n):
+        # no slot equals 1.5, so sigma_x was dropped and the identity returned
+        with pytest.raises(ContractError, match="must be integers"):
+            lift(pauli("x"), site, n)
+
+    def test_numpy_integer_site(self):
+        assert np.array_equal(lift(pauli("x"), np.int64(2), np.int64(3)), lift(pauli("x"), 2, 3))
 
     def test_wrong_local_shape(self):
         with pytest.raises(ShapeError):
