@@ -1,8 +1,8 @@
 """Kronecker-product algebra and spin-1/2 Hamiltonian toolkit.
 
-Layers, bottom to top: ``kron_core`` (the product, its laws as executable
-checks, the perfect-shuffle similarity), ``dense_linalg`` (dense matrix
-algebra and a Hermitian eigensolver on LAPACK via numpy), ``spin_algebra``
+Layers, bottom to top: ``dense_linalg`` (a Hermitian eigensolver and a
+guarded inverse on LAPACK via numpy), ``kron_core`` (the product, its laws
+as executable checks, the perfect-shuffle similarity), ``spin_algebra``
 (Pauli operators lifted to n-site registers), ``matfree_engine`` (sums of
 Kronecker terms, among them the spec Hamiltonian, S_axis and S^2, as a
 diagonal plus strided moves for 2^n state vectors, written from the edge
@@ -24,6 +24,7 @@ from .errors import (
     SiteRangeError,
     SizingError,
 )
+from .dense_linalg import Spectrum, eigh, inverse, spectrum_multiset_equal
 from .kron_core import (
     MAX_KRON_ELEMENTS,
     PROPERTY_NAMES,
@@ -35,17 +36,6 @@ from .kron_core import (
     noncommutativity_witness,
     shuffle_conjugate,
     similarity_transform,
-)
-from .dense_linalg import (
-    Spectrum,
-    add,
-    conj_transpose,
-    eigh,
-    identity,
-    inverse,
-    matmul,
-    scale,
-    spectrum_multiset_equal,
 )
 from .spin_algebra import (
     AXES,
@@ -106,7 +96,6 @@ __all__ = [
     "SizingError",
     "Spectrum",
     "WeightTriple",
-    "add",
     "build_general",
     "build_h2",
     "build_h3",
@@ -115,25 +104,21 @@ __all__ = [
     "commutation_permutation",
     "commutator",
     "commutator_norm",
-    "conj_transpose",
     "conserved_residual",
     "eigh",
     "format_matrix",
-    "identity",
     "inverse",
     "kron",
     "lanczos_extremal",
     "lift",
     "load_matrix",
     "load_spec",
-    "matmul",
     "matvec",
     "noncommutativity_witness",
     "parse_matrix",
     "pauli",
     "save_matrix",
     "save_spec",
-    "scale",
     "shuffle_conjugate",
     "similarity_transform",
     "spec_from_dict",

@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic and a Hermitian eigensolver.
+"""A Hermitian eigensolver and a guarded inverse on LAPACK.
 
 ``eigh`` checks Hermiticity, symmetrizes, and hands the matrix to LAPACK
 through ``numpy.linalg.eigh`` / ``eigvalsh``.  Purely real symmetric inputs
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import DEFAULT_TOL, as_matrix, as_square, frobenius
-from .errors import ContractError, ShapeError, SingularityError, SizingError
+from ._common import DEFAULT_TOL, as_square, frobenius
+from .errors import ContractError, SingularityError, SizingError
 
 # Reciprocal 1-norm condition number below which a matrix counts as singular.
 # Scale-invariant: c * A gives the same value for every nonzero c.
@@ -40,36 +40,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     dimension: int
     eigenvectors: np.ndarray | None = None
-
-
-def identity(n: int) -> np.ndarray:
-    if n < 1:
-        raise ShapeError(f"identity dimension must be >= 1, got {n}")
-    return np.eye(n, dtype=np.complex128)
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def scale(s: complex, a) -> np.ndarray:
-    return complex(s) * as_matrix(a)
-
-
-def conj_transpose(a) -> np.ndarray:
-    return as_matrix(a).conj().T.copy()
 
 
 def inverse(a) -> np.ndarray:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import DEFAULT_TOL, frobenius
-from .errors import ContractError, ParseError, SiteRangeError
+from ._common import DEFAULT_TOL, frobenius, is_integer
+from .errors import ContractError, ParseError, SiteRangeError, SizingError
 from .kron_core import ResidualReport, kron
 from .matfree_engine import _check_site_count, _scatter_dense, spec_to_kronsum
 from .spin_algebra import AXES, _check_capacity, pauli
@@ -61,24 +61,23 @@ def _finite_float(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class CouplingEdge:
-    """Exchange coupling J between two distinct sites, stored with i < j."""
+    """Exchange coupling J between two distinct sites, stored as Python ints
+    with i < j."""
 
     i: int
     j: int
     strength: float
 
     def __post_init__(self):
-        if not all(isinstance(site, int) and not isinstance(site, bool)
-                   for site in (self.i, self.j)):
+        if not (is_integer(self.i) and is_integer(self.j)):
             raise ContractError(f"edge sites must be integers, got ({self.i!r}, {self.j!r})")
         if self.i < 1 or self.j < 1:
             raise SiteRangeError(f"edge sites must be >= 1, got ({self.i}, {self.j})")
         if self.i == self.j:
             raise ContractError(f"self-coupling at site {self.i} is not allowed")
-        if self.i > self.j:
-            lo, hi = self.j, self.i
-            object.__setattr__(self, "i", lo)
-            object.__setattr__(self, "j", hi)
+        lo, hi = sorted((int(self.i), int(self.j)))
+        object.__setattr__(self, "i", lo)
+        object.__setattr__(self, "j", hi)
         object.__setattr__(self, "strength", _finite_float(self.strength, "coupling strength"))
 
 
@@ -91,7 +90,7 @@ class HamiltonianSpec:
     couplings: tuple[CouplingEdge, ...] = ()
 
     def __post_init__(self):
-        _check_site_count(self.n_sites)
+        object.__setattr__(self, "n_sites", _check_site_count(self.n_sites))
         object.__setattr__(self, "mu_b0", _finite_float(self.mu_b0, "mu_b0"))
         object.__setattr__(self, "couplings", tuple(self.couplings))
         seen = set()
@@ -178,9 +177,16 @@ def verify_h2_decomposition(weights: WeightTriple, mu_b0: float,
     build_h2(mu_b0, J) with the caller's mu_b0 (consistent when
     mu_b0 = -a_z) and J = 2 * mean(a^2), the least-squares isotropic match;
     anisotropic weights therefore surface as a residual, not an exception.
+    Raises SizingError when the summed squares 2 (a_x^2 + a_y^2) + 4 a_z^2
+    are past the double range.
     """
     mu_b0 = float(mu_b0)
-    sq = (weights.a_x ** 2, weights.a_y ** 2, weights.a_z ** 2)
+    sq = (weights.a_x * weights.a_x, weights.a_y * weights.a_y, weights.a_z * weights.a_z)
+    # the largest entry the squares reach is 2 (a_x^2 + a_y^2) + 4 a_z^2;
+    # finite, it also bounds each squared weight and the shift 2 sum(a^2)
+    if not math.isfinite(2.0 * (sq[0] + sq[1] + 2.0 * sq[2])):
+        raise SizingError(f"the squares of weights ({weights.a_x:g}, {weights.a_y:g}, "
+                          f"{weights.a_z:g}) sum past the double range")
     spread = max(sq) - min(sq)
 
     intermediate = 0.0
@@ -196,7 +202,8 @@ def verify_h2_decomposition(weights: WeightTriple, mu_b0: float,
 
     j_match = 2.0 * (sq[0] + sq[1] + sq[2]) / 3.0
     rhs = build_h2(mu_b0, j_match)
-    residual = frobenius(total - rhs)
+    with np.errstate(over="ignore"):  # a distance past the double range reads inf
+        residual = frobenius(total - rhs)
     note = (
         f"matched J = 2*mean(a^2) = {j_match:.9g}; Zeeman term uses caller mu_b0 = {mu_b0:.9g} "
         f"(consistent iff mu_b0 = -a_z = {-weights.a_z:.9g}); squared-weight spread {spread:.3e}; "

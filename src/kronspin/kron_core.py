@@ -153,7 +153,7 @@ def similarity_transform(c, a) -> np.ndarray:
     if c.shape != a.shape:
         raise ShapeError(f"dimension mismatch: basis change {c.shape}, operator {a.shape}")
     c_inv = dense_linalg.inverse(c)
-    return dense_linalg.matmul(dense_linalg.matmul(c_inv, a), c)
+    return c_inv @ a @ c
 
 
 def noncommutativity_witness(a, b, tol: float = DEFAULT_TOL):

@@ -120,9 +120,12 @@ class KronTerm:
         return tuple(k for k, f in enumerate(self.factors) if f is not None)
 
 
-def _check_site_count(n_sites) -> None:
-    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
+def _check_site_count(n_sites) -> int:
+    """``n_sites`` as a Python int, so that ``1 << n_sites`` is one too;
+    ContractError unless it is a positive integer (Python or numpy)."""
+    if not is_integer(n_sites) or n_sites < 1:
         raise ContractError(f"n_sites must be a positive integer, got {n_sites!r}")
+    return int(n_sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +136,7 @@ class KronSum:
     terms: tuple[KronTerm, ...]
 
     def __post_init__(self):
-        _check_site_count(self.n_sites)
+        object.__setattr__(self, "n_sites", _check_site_count(self.n_sites))
         object.__setattr__(self, "terms", tuple(self.terms))
         for t, term in enumerate(self.terms):
             if not isinstance(term, KronTerm):
@@ -565,7 +568,7 @@ class ExchangeSum(KronSum):
     constant: float
 
     def __init__(self, n_sites: int, zeeman, edges, constant: float = 0.0):
-        _check_site_count(n_sites)
+        n_sites = _check_site_count(n_sites)
         edges = tuple(edges)
         for edge in edges:
             if len(edge) != 4:
@@ -741,15 +744,16 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     (carrying the best estimates, its message naming the first pass or
     verification pass p of k) when a budget runs out, ContractError if the
     operator fails a random-vector Hermitian check, and up front, before
-    any draw, ContractError when ``k`` or ``max_iter`` is not an int,
-    ``seed`` not a non-negative integer (a bool is refused) or ``tol`` not
-    finite and positive and SizingError when twice the plan's
-    ``norm_bound``, squared, is past the double range.
+    any draw, ContractError when ``k`` or ``max_iter`` is not an integer,
+    ``seed`` not a non-negative one (Python or numpy integers; a bool is
+    refused) or ``tol`` not finite and positive and SizingError when twice
+    the plan's ``norm_bound``, squared, is past the double range.
     """
     if which not in ("lowest", "highest"):
         raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not is_integer(k):
         raise ContractError(f"k must be an integer, got {k!r}")
+    k = int(k)
     if not (math.isfinite(tol) and tol > 0):
         raise ContractError(f"tol must be a finite positive number, got {tol}")
     if not is_integer(seed) or seed < 0:
@@ -761,8 +765,9 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         max_iter = max(300, 3 * k)
     # every budget test is spent == max_iter, which a float such as 8.5
     # never meets
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+    if not is_integer(max_iter):
         raise ContractError(f"max_iter must be an integer, got {max_iter!r}")
+    max_iter = int(max_iter)
     if max_iter < k:
         raise ContractError(f"max_iter {max_iter} cannot deliver k = {k} values")
     # the norms below square the entries of op x, each at most the bound in

@@ -1,10 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronspin.dense_linalg import eigh
-from kronspin.errors import CapacityError, ContractError, ParseError, SiteRangeError
+from kronspin.errors import (
+    CapacityError,
+    ContractError,
+    ParseError,
+    SiteRangeError,
+    SizingError,
+)
 from kronspin.hamiltonian_builder import (
     CouplingEdge,
     HamiltonianSpec,
@@ -95,6 +103,20 @@ class TestEdgesAndSpecs:
     def test_edge_rejects_bool_site(self, i, j):
         with pytest.raises(ContractError, match="integers"):
             CouplingEdge(i, j, 1.0)
+
+    def test_edge_takes_numpy_integer_sites(self):
+        e = CouplingEdge(np.int64(3), np.int32(1), 0.5)
+        assert e == CouplingEdge(3, 1, 0.5)
+        assert type(e.i) is int and type(e.j) is int
+
+    def test_spec_takes_numpy_integer_site_count(self, tmp_path):
+        edges = (CouplingEdge(np.int64(1), np.int64(3), 1.0),)
+        spec = HamiltonianSpec(np.int64(3), 0.5, edges)
+        want = HamiltonianSpec(3, 0.5, (CouplingEdge(1, 3, 1.0),))
+        assert spec == want and type(spec.n_sites) is int
+        assert np.array_equal(build_general(spec), build_general(want))
+        save_spec(spec, tmp_path / "spec.json")
+        assert load_spec(tmp_path / "spec.json") == want
 
     def test_weight_triple_rejects_nan(self):
         with pytest.raises(ContractError):
@@ -230,6 +252,22 @@ class TestDecompositionCheck:
     def test_any_uniform_weight_with_consistent_field_passes(self, a):
         report = verify_h2_decomposition(WeightTriple(a, a, a), mu_b0=-a)
         assert report.passed
+
+
+    @pytest.mark.parametrize("weights", [(1e154, 1e154, 1e154), (1e200, 1.0, 1.0), (0.0, 0.0, 8e153)])
+    def test_squares_past_the_double_range_refused(self, weights):
+        # 1e200 squared raised OverflowError; 1e154 overflowed in a matmul
+        # and ended in a refusal of a coupling never passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                verify_h2_decomposition(WeightTriple(*weights), 1.0)
+
+    def test_distance_past_the_double_range_reads_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_h2_decomposition(WeightTriple(0.0, 0.0, 6.6e153), 7e307)
+        assert report.residual == np.inf and not report.passed
 
 
 class TestSpecSerialization:

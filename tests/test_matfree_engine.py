@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 import warnings
@@ -102,6 +103,17 @@ class TestTermAndSumValidation:
     def test_exchange_sum_rejects_an_edge_without_four_entries(self, edge):
         with pytest.raises(ContractError, match=r"is not \(i, j, j_xy, j_z\)"):
             ExchangeSum(3, 1.0, [edge])
+
+    def test_numpy_integer_site_counts_match_python_ints(self):
+        # stored as Python ints, so 1 << n_sites is one too
+        for op, want in (
+            (KronSum(np.int64(3), ()), KronSum(3, ())),
+            (ExchangeSum(np.int32(3), 1.0, [(1, 3, 1.0, 0.5)]), ExchangeSum(3, 1.0, [(1, 3, 1.0, 0.5)])),
+            (total_spin_squared_kronsum(np.int64(3)), total_spin_squared_kronsum(3)),
+            (total_component_kronsum("x", np.int64(3)), total_component_kronsum("x", 3)),
+        ):
+            assert type(op.n_sites) is int and type(op.dimension) is int
+            assert np.array_equal(to_dense(op), to_dense(want))
 
     def test_exchange_sum_takes_numpy_integer_sites(self):
         edges = [(np.int64(1), np.int32(2), 1.0, 0.5)]
@@ -963,6 +975,13 @@ class TestLanczos:
         want = lanczos_extremal(op, seed=3).eigenvalues
         assert np.array_equal(lanczos_extremal(op, seed=np.int64(3)).eigenvalues, want)
 
+    def test_numpy_integer_k_and_max_iter_match_python_ints(self):
+        op = spec_to_kronsum(chain_spec(6))
+        want = lanczos_extremal(op, k=2, max_iter=60)
+        got = lanczos_extremal(op, k=np.int64(2), max_iter=np.int32(60))
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
     @pytest.mark.parametrize("max_iter", [8.5, 8.0, True])
     def test_max_iter_must_be_an_int(self, monkeypatch, max_iter):
         # every budget test is spent == max_iter: 8.5 is never met, and a
@@ -1048,6 +1067,83 @@ class TestLanczos:
         for op in (hermitian_kronsum(rng, 3), spec_to_kronsum(random_spec(rng, 5))):
             values = np.linalg.eigvalsh(to_dense(op))
             assert np.max(np.abs(values)) <= op.plan.norm_bound * (1 + 1e-12)
+
+
+def xx_chain_spec(rng, n: int) -> HamiltonianSpec:
+    """Open chain with random couplings J_i and field; its XX Hamiltonian is
+    ``spec_to_kronsum(spec, 0.0)``."""
+    edges = tuple(CouplingEdge(k, k + 1, rng.uniform(0.5, 1.5)) for k in range(1, n))
+    return HamiltonianSpec(n, rng.uniform(-1, 1), edges)
+
+
+def xx_chain_levels(spec: HamiltonianSpec) -> np.ndarray:
+    """All 2^n levels of the open XX chain, sorted, by Jordan-Wigner (Lieb,
+    Schultz & Mattis 1961): sigma_z = 2 c^dag c - 1 and each bond
+    J (sigma_x sigma_x + sigma_y sigma_y) = 2 J (c^dag_i c_j + h.c.), so a
+    level is mu_b0 n + sum over occupied modes of (eps_k - 2 mu_b0), with
+    eps_k the eigenvalues of the n x n tridiagonal matrix of off-diagonals
+    2 J_i."""
+    n, mu = spec.n_sites, spec.mu_b0
+    hop = np.zeros((n, n))
+    for e in spec.couplings:
+        hop[e.i - 1, e.j - 1] = hop[e.j - 1, e.i - 1] = 2 * e.strength
+    modes = np.linalg.eigvalsh(hop) - 2 * mu
+    occupied = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return np.sort(mu * n + occupied @ modes)
+
+
+def complete_graph_spec(n: int, mu_b0: float, j: float) -> HamiltonianSpec:
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return HamiltonianSpec(n, mu_b0, tuple(CouplingEdge(a, b, j) for a, b in pairs))
+
+
+def complete_graph_levels(n: int, mu_b0: float, j: float) -> np.ndarray:
+    """All 2^n levels of the uniform complete graph, sorted: with
+    sum_{i<j} sigma_i . sigma_j = 2 S^2 - 3n/2 and sum sigma_z = 2 M a level is
+    E(s, M) = -2 mu_b0 M + J (2 s (s + 1) - 3n/2), and each (s, M) with
+    |M| <= s occurs C(n, n/2 - s) - C(n, n/2 - s - 1) times."""
+    levels = []
+    for down in range(n // 2 + 1):  # down = n/2 - s
+        s = n / 2 - down
+        copies = math.comb(n, down) - (math.comb(n, down - 1) if down else 0)
+        for m in np.arange(-s, s + 1):
+            levels += [-2 * mu_b0 * m + j * (2 * s * (s + 1) - 1.5 * n)] * copies
+    assert len(levels) == 1 << n
+    return np.sort(levels)
+
+
+class TestClosedFormOracles:
+    """Exact spectra of two spec families at any n, which check the dense
+    path and, past the dense cap, Lanczos."""
+
+    @staticmethod
+    def assert_levels(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_xx_chain_dense_spectrum(self, n):
+        spec = xx_chain_spec(np.random.default_rng(n), n)
+        got = eigh(build_general(spec, 0.0), want_vectors=False).eigenvalues
+        self.assert_levels(got, xx_chain_levels(spec))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_complete_graph_dense_spectrum(self, n):
+        spec = complete_graph_spec(n, 0.3, 0.9)
+        got = eigh(build_general(spec), want_vectors=False).eigenvalues
+        self.assert_levels(got, complete_graph_levels(n, 0.3, 0.9))
+
+    def test_xx_chain_lanczos_past_the_dense_cap(self):
+        spec = xx_chain_spec(np.random.default_rng(16), 16)
+        s = lanczos_extremal(spec_to_kronsum(spec, 0.0), k=4, seed=1)
+        self.assert_levels(s.eigenvalues, xx_chain_levels(spec)[:4])
+
+    def test_complete_graph_lanczos_keeps_a_degenerate_ground_level(self):
+        # the s = 0 ground level is C(14, 7) - C(14, 6) = 429-fold degenerate,
+        # so all three lowest values are -21 J
+        levels = complete_graph_levels(14, 0.3, 0.9)
+        assert np.ptp(levels[:429]) == 0 and levels[429] > levels[0]
+        s = lanczos_extremal(spec_to_kronsum(complete_graph_spec(14, 0.3, 0.9)), k=3, seed=1)
+        self.assert_levels(s.eigenvalues, levels[:3])
 
 
 def traced_peak(call) -> int:
