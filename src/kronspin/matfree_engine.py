@@ -56,11 +56,14 @@ coefficients at (s, s ^ masks[k]), equal to the lifted forms bitwise.
 seeded start vector for reproducibility.  For a real plan the start vector,
 the Krylov basis and the projections are float64 (a real symmetric operator
 has a real orthonormal eigenbasis); otherwise they are complex128.  Each new
-vector is orthogonalized against the whole stored basis B (no ghost
-eigenvalues at desk scale): one classical Gram-Schmidt pass, and a second
-one only when the first leaves less than 1/sqrt(2) of its norm (Daniel,
-Gragg, Kaufman & Stewart, Math. Comp. 30:772, 1976: "twice is enough").
-The summed coefficients are a column of the Ritz matrix B^H op B, which
+vector op q is first projected off the last two rows of the stored basis B
+(the three-term Lanczos step), then orthogonalized against the whole of B
+(no ghost eigenvalues at desk scale) by one classical Gram-Schmidt pass,
+which only mops up rounding and a restart's couplings to the kept Ritz
+vectors.  The DGKS rule guards that pass: a second one runs only when it
+leaves less than 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart,
+Math. Comp. 30:772, 1976: "twice is enough").  The coefficients of the
+three projections, summed, are a column of the Ritz matrix B^H op B, which
 therefore stays exact whatever B holds, so one step extends the search
 space in every case: compress B to chosen Ritz vectors, then continue from
 the residual when the fixed-size basis is full (thick restart, Wu & Simon,
@@ -629,8 +632,10 @@ def spec_to_kronsum(spec, z_scale: float = 1.0) -> ExchangeSum:
 
 def total_component_kronsum(axis: str, n: int) -> KronSum:
     """Matrix-free total spin component: (1/2) sigma_axis at each site.  S_z
-    is the ExchangeSum of field 1/2 without edges."""
+    is the ExchangeSum of field 1/2 without edges.  ValueError for an
+    unknown axis, then ContractError unless ``n`` is a positive integer."""
     sigma = pauli(axis)
+    n = _check_site_count(n)
     if axis == "z":
         return ExchangeSum(n, 0.5, ())
     return KronSum(n, tuple(_sites_term(0.5, sigma, (k,), n) for k in range(1, n + 1)))
@@ -638,7 +643,9 @@ def total_component_kronsum(axis: str, n: int) -> KronSum:
 
 def total_spin_squared_kronsum(n: int) -> ExchangeSum:
     """Matrix-free S^2 = (3n/4) I + (1/2) sum_{i<j} sum_axis sigma_axis(i) sigma_axis(j),
-    from expanding the squared component sums with sigma^2 = I."""
+    from expanding the squared component sums with sigma^2 = I.
+    ContractError unless ``n`` is a positive integer."""
+    n = _check_site_count(n)
     pairs = itertools.combinations(range(1, n + 1), 2)
     return ExchangeSum(n, None, [(i, j, 0.5, 0.5) for i, j in pairs], 0.75 * n)
 
@@ -653,13 +660,20 @@ def _scatter_dense(plan: MatvecPlan) -> np.ndarray:
     return dense
 
 
+def _check_dense_site_count(n) -> int:
+    """``n`` as a Python int: SiteRangeError for an integer below 1, as the
+    dense builders have always raised, ContractError for a non-integer."""
+    if is_integer(n) and n < 1:
+        raise SiteRangeError(f"site count must be >= 1, got {n}")
+    return _check_site_count(n)
+
+
 def total_component(axis: str, n: int) -> np.ndarray:
     """Dense total spin component S_axis = (1/2) * sum over sites of the
     lifted Pauli matrix; the 1/2 is the spin-1/2 prefactor with hbar = 1.
     Scattered from the flip form of ``total_component_kronsum``."""
     pauli(axis)  # an unknown axis is a ValueError before any site check
-    if n < 1:
-        raise SiteRangeError(f"site count must be >= 1, got {n}")
+    n = _check_dense_site_count(n)
     _check_capacity(n, "dense total component")
     return _scatter_dense(total_component_kronsum(axis, n).plan)
 
@@ -668,8 +682,7 @@ def total_spin_squared(n: int) -> np.ndarray:
     """Dense S^2 = S_x^2 + S_y^2 + S_z^2 = n(4 - n)/4 I + sum_{i<j} SWAP_ij;
     eigenvalues s(s+1) with s in {n/2, n/2 - 1, ..., (n mod 2)/2}.
     Scattered from the flip form of ``total_spin_squared_kronsum``."""
-    if n < 1:
-        raise SiteRangeError(f"site count must be >= 1, got {n}")
+    n = _check_dense_site_count(n)
     _check_capacity(n, "dense total spin squared")
     return _scatter_dense(total_spin_squared_kronsum(n).plan)
 
@@ -725,8 +738,9 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
                      seed: int = 0) -> Spectrum:
     """k extremal eigenvalues of a Hermitian KronSum via thick-restart Lanczos.
 
-    Full reorthogonalization under the DGKS rule; the Ritz matrix is built
-    from the Gram-Schmidt coefficients.  The basis holds at most
+    Each step projects op q off the last two basis rows, then makes one full
+    Gram-Schmidt pass, repeated under the DGKS rule; the Ritz matrix is
+    built from the summed coefficients.  The basis holds at most
     max(32, 3k) vectors, float64 when the operator's plan is real (every
     spec Hamiltonian, S_z and S^2) and complex128 otherwise; a full basis
     keeps the wanted Ritz vectors plus a margin and continues from the
@@ -825,25 +839,34 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         return len(values)
 
     def fresh():
-        """A seeded random vector, orthonormalized against basis[:m]."""
+        """Write a seeded random vector, orthonormalized against basis[:m],
+        into basis[m]."""
         q = rng.standard_normal(dim)
         if not real:
             q = q + 1j * rng.standard_normal(dim)
-        q /= orthogonalize(q, m)[1]
-        return q
+        np.divide(q, orthogonalize(q, m)[1], out=basis[m])
 
     norm_est = 0.0
     accepted = None  # (values, vectors) last certified, from the extremal end
     passes = 0  # verification passes started
     want = k
     m = spent = 0
-    q = fresh()
+    fresh()
     while True:
-        basis[m] = q
         w = matvec(op, basis[m])
         m += 1
         spent += 1
-        tmat[:m, m - 1], beta = orthogonalize(w, m)
+        # the three-term step: w loses its large alpha q and beta q_prev
+        # parts to the last two rows first, so the full pass only mops up
+        # rounding (and, after a restart, the couplings to the kept Ritz
+        # vectors) and DGKS rarely asks for a second pass.  A slice, not a
+        # view, so that no name keeps the basis alive past its del
+        last = slice(max(m - 2, 0), m)
+        near = np.conj(basis[last] @ w.conj())
+        w -= basis[last].T @ near
+        coeffs, beta = orthogonalize(w, m)
+        coeffs[last] += near
+        tmat[:m, m - 1] = coeffs
         invariant = m == dim or beta <= 1e-13 * max(norm_est, 1.0)
         if invariant or spent % 5 == 0 or m == rows or spent == max_iter:
             theta, svec = np.linalg.eigh(tmat[:m, :m], UPLO="U")
@@ -867,7 +890,7 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
                     passes += 1
                     want = k + 1
                     spent = 0
-                    q = fresh()
+                    fresh()
                     continue
                 # a bound can be optimistic: keep iterating within the budget
             if spent == max_iter:
@@ -881,10 +904,10 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
             m = compress(*ritz_pairs(order[: min(want + _RESTART_MARGIN, rows // 2)]))
         if invariant:
             # the complement of an invariant subspace is invariant too
-            q = fresh()
+            fresh()
         else:
-            w /= beta
-            q = w
+            # normalized straight into the next basis row
+            np.divide(w, beta, out=basis[m])
 
     del basis  # before the complex128 copy of the eigenvectors
     values, vectors = _canonical_order(accepted[0], accepted[1].T)

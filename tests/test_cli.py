@@ -16,6 +16,7 @@ from kronspin.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_STATE_SITES,
+    PROBE_COUNT,
     build_parser,
     run,
 )
@@ -35,7 +36,15 @@ from kronspin.hamiltonian_builder import (
     save_spec,
 )
 from kronspin.kron_core import kron
-from kronspin.matfree_engine import KronTerm, total_component, total_spin_squared
+from kronspin.matfree_engine import (
+    KronTerm,
+    commutator_norm,
+    matvec,
+    spec_to_kronsum,
+    total_component,
+    total_spin_squared,
+    total_spin_squared_kronsum,
+)
 from kronspin.matrix_io import load_matrix, save_matrix
 from kronspin.spin_algebra import conserved_residual, pauli
 
@@ -555,6 +564,27 @@ class TestConserved:
         failed = [r["name"] for r in report["results"] if not r["passed"]]
         assert failed == ["[H, S^2] commutator residual"]
         assert all(r["method"] == "probe" for r in report["results"])
+
+    def test_probes_are_shared_by_the_three_pairs(self, tmp_path, capsys, monkeypatch):
+        # per probe, H x, S_z x and S^2 x once, then one more product on
+        # each side of each pair: 9 matvecs, not 12
+        calls = []
+
+        def counted(op, x):
+            calls.append(1)
+            return matvec(op, x)
+
+        monkeypatch.setattr(cli, "matvec", counted)
+        spec = chain_spec(13)
+        assert run(["conserved", write_spec(tmp_path, spec), "--json",
+                    "--debug-anisotropy", "2"]) == EXIT_CHECK_FAILED
+        assert len(calls) == 9 * PROBE_COUNT == 27
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert rows[0]["note"].startswith(f"matrix-free probe at n=13, {PROBE_COUNT} unit vectors")
+        # a unit probe's residual is at most the 2-norm, itself at most the
+        # Frobenius norm
+        exact = commutator_norm(spec_to_kronsum(spec, 2.0), total_spin_squared_kronsum(13))
+        assert 0 < rows[1]["residual"] <= exact
 
     def test_unallocatable_state_is_capacity_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, HUGE_SPEC)

@@ -111,9 +111,12 @@ class TestTermAndSumValidation:
             (ExchangeSum(np.int32(3), 1.0, [(1, 3, 1.0, 0.5)]), ExchangeSum(3, 1.0, [(1, 3, 1.0, 0.5)])),
             (total_spin_squared_kronsum(np.int64(3)), total_spin_squared_kronsum(3)),
             (total_component_kronsum("x", np.int64(3)), total_component_kronsum("x", 3)),
+            (total_component_kronsum("z", np.int64(3)), total_component_kronsum("z", 3)),
         ):
             assert type(op.n_sites) is int and type(op.dimension) is int
             assert np.array_equal(to_dense(op), to_dense(want))
+        assert np.array_equal(total_component("x", np.int64(3)), total_component("x", 3))
+        assert np.array_equal(total_spin_squared(np.int64(3)), total_spin_squared(3))
 
     def test_exchange_sum_takes_numpy_integer_sites(self):
         edges = [(np.int64(1), np.int32(2), 1.0, 0.5)]
@@ -678,6 +681,22 @@ class TestConservedKronsums:
     def test_dense_spin_squared_needs_a_site(self):
         with pytest.raises(SiteRangeError, match="site count must be >= 1"):
             total_spin_squared(0)
+
+    BUILDERS = {
+        "total_component_kronsum x": lambda n: total_component_kronsum("x", n),
+        "total_component_kronsum z": lambda n: total_component_kronsum("z", n),
+        "total_spin_squared_kronsum": total_spin_squared_kronsum,
+        "total_component x": lambda n: total_component("x", n),
+        "total_spin_squared": total_spin_squared,
+    }
+
+    @pytest.mark.parametrize("n", [2.5, "3", True])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_non_integer_site_count_is_a_contract_error(self, builder, n):
+        # 2.5 and "3" reached range() and raised a raw TypeError
+        with pytest.raises(ContractError, match="n_sites must be a positive integer"):
+            self.BUILDERS[builder](n)
+
 
 
 def assert_plans_bitwise_equal(got, want):
@@ -1276,6 +1295,58 @@ class TestLanczosDefaultCap:
         op.plan  # compiled outside the measurement
         peak = traced_peak(lambda: lanczos_extremal(op, which="lowest", k=k, seed=3))
         assert peak < (cap + cap // 2 + k + 3) * (1 << n) * 8
+
+
+class TestLanczosLocalStep:
+    """Each step projects op q off the last two basis rows before the full
+    Gram-Schmidt pass; the eigenvectors stay orthonormal, every true
+    residual meets the convergence bound and degenerate levels keep their
+    multiplicity."""
+
+    TOL = 1e-8
+
+    def check_pairs(self, op, s, radius):
+        # the solver's bound is tol times its norm estimate, the largest Ritz
+        # magnitude seen, which is at most the spectral radius
+        v = s.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
+        for value, vec in zip(s.eigenvalues, v.T):
+            assert np.linalg.norm(matvec(op, vec) - value * vec) <= self.TOL * radius
+
+    @pytest.mark.parametrize("k, spins", [(1, [0]), (4, [0, 2, 2, 2]),
+                                          (8, [0, 2, 2, 2, 0, 2, 2, 2])])
+    def test_ring_singlets_and_triplets(self, k, spins):
+        # zero-field 12-site ring: singlet, triplet, singlet, triplet at the
+        # bottom; its top level is the ferromagnet, J n = 12, so the radius
+        # is |E0|
+        n = 12
+        op = spec_to_kronsum(ring_spec(n))
+        s = lanczos_extremal(op, which="lowest", k=k, tol=self.TOL, seed=0)
+        radius = max(abs(s.eigenvalues[0]), 12.0)
+        self.check_pairs(op, s, radius)
+        s_sq = total_spin_squared_kronsum(n)
+        got = [np.vdot(v, matvec(s_sq, v)).real for v in s.eigenvectors.T]
+        assert np.allclose(got, spins, atol=1e-6)
+        # each triplet is three copies of one level
+        for start in range(1, k, 4):
+            assert np.ptp(s.eigenvalues[start:start + 3]) <= self.TOL * radius
+        if k == 8:
+            assert s.eigenvalues[4] - s.eigenvalues[3] > 0.5
+
+    def test_complex_plan_with_total_sy(self):
+        # the 8-site ring plus 0.3 S_y: S_y commutes with the isotropic ring,
+        # so the triplet splits into three levels 0.3 apart
+        n = 8
+        h = spec_to_kronsum(ring_spec(n))
+        s_y = total_component_kronsum("y", n)
+        op = KronSum(n, h.terms + tuple(KronTerm(0.3 * t.coefficient, t.factors)
+                                        for t in s_y.terms))
+        assert not op.plan.real
+        want = np.linalg.eigvalsh(to_dense(op))
+        s = lanczos_extremal(op, which="lowest", k=4, tol=self.TOL, seed=2)
+        radius = np.max(np.abs(want))
+        assert np.max(np.abs(s.eigenvalues - want[:4])) <= 1e-10 * radius
+        self.check_pairs(op, s, radius)
 
 
 class TestComplexityScaling:
