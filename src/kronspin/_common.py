@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 # Frobenius-norm comparison tolerance, overridable per call.  The Kronecker
 # identity checks scale it by max(1, ||rhs||_F), so for them it is relative
@@ -27,7 +27,7 @@ def as_matrix(values) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix with positive dimensions, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise ContractError("matrix entries must be finite (no NaN/Inf)")
     return a
 
 
@@ -42,6 +42,29 @@ def is_integer(value) -> bool:
     """A Python or numpy integer, and not a bool: True is an int to Python
     but names no site, count or seed."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A real number with a finite double value; False, not a raw TypeError
+    or OverflowError, for anything else (a string, None, a complex number,
+    an integer past the double range)."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def to_number(kind, value, what: str):
+    """``kind(value)`` for ``kind`` float or complex; ContractError naming
+    ``what`` when it cannot be formed: for an integer past the double range
+    or a value that is no number."""
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ContractError(f"{what} must be finite, got an integer past the double "
+                            "range") from None
+    except (TypeError, ValueError):
+        raise ContractError(f"{what} must be a number, got {value!r}") from None
 
 
 def frobenius(a: np.ndarray) -> float:

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import DEFAULT_TOL, frobenius, is_integer
+from ._common import DEFAULT_TOL, frobenius, is_integer, to_number
 from .errors import ContractError, ParseError, SiteRangeError, SizingError
-from .kron_core import ResidualReport, kron
+from .kron_core import ResidualReport, _check_finite, kron
 from .matfree_engine import _check_site_count, _scatter_dense, spec_to_kronsum
 from .spin_algebra import AXES, _check_capacity, pauli
 # kept importable here: benchmark/tracing.py wraps hamiltonian_builder.lift
@@ -47,13 +47,9 @@ INTERMEDIATE_TOL = 1e-12
 
 
 def _finite_float(value, what: str) -> float:
-    """``float(value)``; ContractError when that is not finite or, for an
-    integer past the double range, cannot be formed at all."""
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ContractError(f"{what} must be finite, got an integer past the double "
-                            "range") from None
+    """``float(value)``; ContractError when that is not finite or cannot be
+    formed at all (``to_number``)."""
+    number = to_number(float, value, what)
     if not math.isfinite(number):
         raise ContractError(f"{what} must be finite, got {number}")
     return number
@@ -178,7 +174,8 @@ def verify_h2_decomposition(weights: WeightTriple, mu_b0: float,
     mu_b0 = -a_z) and J = 2 * mean(a^2), the least-squares isotropic match;
     anisotropic weights therefore surface as a residual, not an exception.
     Raises SizingError when the summed squares 2 (a_x^2 + a_y^2) + 4 a_z^2
-    are past the double range.
+    or the distance to build_h2 are past the double range, as check_property
+    refuses such a residual.
     """
     mu_b0 = float(mu_b0)
     sq = (weights.a_x * weights.a_x, weights.a_y * weights.a_y, weights.a_z * weights.a_z)
@@ -204,6 +201,7 @@ def verify_h2_decomposition(weights: WeightTriple, mu_b0: float,
     rhs = build_h2(mu_b0, j_match)
     with np.errstate(over="ignore"):  # a distance past the double range reads inf
         residual = frobenius(total - rhs)
+    _check_finite(residual, tol)
     note = (
         f"matched J = 2*mean(a^2) = {j_match:.9g}; Zeeman term uses caller mu_b0 = {mu_b0:.9g} "
         f"(consistent iff mu_b0 = -a_z = {-weights.a_z:.9g}); squared-weight spread {spread:.3e}; "

@@ -52,12 +52,16 @@ of these operators constructs no term.  A dense H, S_axis or S^2 is the
 flip form of its plan scattered into a 2^n x 2^n matrix, row k of the
 coefficients at (s, s ^ masks[k]), equal to the lifted forms bitwise.
 
-``lanczos_extremal`` finds extremal eigenvalues using only matvec, from a
-seeded start vector for reproducibility.  For a real plan the start vector,
-the Krylov basis and the projections are float64 (a real symmetric operator
-has a real orthonormal eigenbasis); otherwise they are complex128.  Each new
-vector op q is first projected off the last two rows of the stored basis B
-(the three-term Lanczos step), then orthogonalized against the whole of B
+``lanczos_extremal`` finds extremal eigenvalues using only matvec.  Its
+seed fixes every random vector of a solve, in order: the Hermitian check's
+probe pairs, then the start vector, then any fresh vectors, each drawn by
+``_draw`` in the solve's dtype.  (Real-plan streams changed when their
+probes stopped drawing an imaginary part only to drop it; complex-plan
+streams did not.)  For a real plan the start vector, the Krylov basis and
+the projections are float64 (a real symmetric operator has a real
+orthonormal eigenbasis); otherwise they are complex128.  Each new vector
+op q is first projected off the last two rows of the stored basis B (the
+three-term Lanczos step), then orthogonalized against the whole of B
 (no ghost eigenvalues at desk scale) by one classical Gram-Schmidt pass,
 which only mops up rounding and a restart's couplings to the kept Ritz
 vectors.  The DGKS rule guards that pass: a second one runs only when it
@@ -83,7 +87,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._common import as_matrix, frobenius, is_integer
+from ._common import as_matrix, frobenius, is_finite_number, is_integer, to_number
 from .errors import ContractError, ConvergenceError, ShapeError, SiteRangeError, SizingError
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
@@ -100,7 +104,7 @@ class KronTerm:
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
+        object.__setattr__(self, "coefficient", to_number(complex, self.coefficient, "coefficient"))
         if not (cmath.isfinite(self.coefficient)):
             raise ContractError(f"coefficient must be finite, got {self.coefficient}")
         checked = []
@@ -583,7 +587,7 @@ class ExchangeSum(KronSum):
                 raise ContractError(f"exchange edge ({i}, {j}) is not 1 <= i < j <= {n_sites}")
         # zeeman None, no field, is checked as 0
         for value in (constant, zeeman or 0.0, *(v for edge in edges for v in edge[2:])):
-            if not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ContractError(f"field, constant and couplings must be finite, got {value}")
         # frozen: the fields are set past the refusing __setattr__
         self.__dict__.update(n_sites=n_sites, zeeman=zeeman, edges=edges, constant=constant)
@@ -692,26 +696,21 @@ _SAMPLE_PAIRS = 2
 _SAMPLE_RTOL = 1e-8
 
 
+def _draw(rng, dim: int, real: bool) -> np.ndarray:
+    """Every seeded random vector of a solve: standard normal float64, plus
+    an independent standard normal imaginary part unless ``real``."""
+    x = rng.standard_normal(dim)
+    return x if real else x + 1j * rng.standard_normal(dim)
+
+
 def _hermitian_sample_check(op: KronSum, rng) -> None:
     """<x, op y> == conj(<y, op x>) on random probe pairs.  A real plan gets
     float64 probes, so its matvecs stay float64: for a real matrix, x^T A y
     == y^T A x on random real x, y is the whole symmetry condition.  Any
     other plan gets complex probes."""
-    dim = op.dimension
-
-    def probe():
-        x = rng.standard_normal(dim)
-        if op.plan.real:
-            # the imaginary part is drawn and dropped, so the seeded stream,
-            # and every start vector drawn after the check, is the same for
-            # real and complex probes
-            rng.standard_normal(dim)
-            return x
-        return x + 1j * rng.standard_normal(dim)
-
     for _ in range(_SAMPLE_PAIRS):
-        x = probe()
-        y = probe()
+        x = _draw(rng, op.dimension, op.plan.real)
+        y = _draw(rng, op.dimension, op.plan.real)
         lhs = np.vdot(x, matvec(op, y))
         rhs = np.conj(np.vdot(y, matvec(op, x)))
         if abs(lhs - rhs) > _SAMPLE_RTOL * max(1.0, abs(lhs), abs(rhs)):
@@ -754,21 +753,25 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
 
     ``max_iter`` bounds the Lanczos steps (one matvec each) of the first
     pass and, separately, of each verification pass; the default is
-    max(300, 3k).  Deterministic for a fixed seed.  Raises ConvergenceError
-    (carrying the best estimates, its message naming the first pass or
-    verification pass p of k) when a budget runs out, ContractError if the
-    operator fails a random-vector Hermitian check, and up front, before
-    any draw, ContractError when ``k`` or ``max_iter`` is not an integer,
+    max(300, 3k).  Deterministic for a fixed seed, which fixes the Hermitian
+    check's probes, then the start vector, then any fresh vectors, each
+    drawn in the solve's dtype (float64 for a real plan; real-plan streams
+    changed when the probes stopped drawing a dropped imaginary part).
+    Raises ConvergenceError (carrying the best estimates, its message naming
+    the first pass or verification pass p of k) when a budget runs out,
+    ContractError if the operator fails a random-vector Hermitian check, and
+    up front, before any draw, ContractError when ``which`` is neither
+    'lowest' nor 'highest', ``k`` or ``max_iter`` is not an integer,
     ``seed`` not a non-negative one (Python or numpy integers; a bool is
     refused) or ``tol`` not finite and positive and SizingError when twice
     the plan's ``norm_bound``, squared, is past the double range.
     """
     if which not in ("lowest", "highest"):
-        raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
+        raise ContractError(f"which must be 'lowest' or 'highest', got {which!r}")
     if not is_integer(k):
         raise ContractError(f"k must be an integer, got {k!r}")
     k = int(k)
-    if not (math.isfinite(tol) and tol > 0):
+    if not (is_finite_number(tol) and tol > 0):
         raise ContractError(f"tol must be a finite positive number, got {tol}")
     if not is_integer(seed) or seed < 0:
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
@@ -806,24 +809,26 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     # upper triangle of tmat[:m, :m] is basis[:m]^H op basis[:m]
     tmat = np.zeros((rows, rows), dtype)
 
-    def project(vec, m):
+    def project(vec, rows):
+        """Project ``vec`` (updated in place) off basis[rows]; return the
+        coefficients."""
         # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the
         # rows; on float64 arrays both conj calls are the identity
-        coeffs = np.conj(basis[:m] @ vec.conj())
-        vec -= basis[:m].T @ coeffs
+        coeffs = np.conj(basis[rows] @ vec.conj())
+        vec -= basis[rows].T @ coeffs
         return coeffs
 
     def orthogonalize(vec, m):
         """Project ``vec`` (updated in place) off basis[:m]; return the summed
         coefficients and the remaining norm."""
         before = float(np.linalg.norm(vec))
-        coeffs = project(vec, m)
+        coeffs = project(vec, slice(m))
         after = float(np.linalg.norm(vec))
         if after < _DGKS_ETA * before:
             # the pass cancelled most of the norm, so its rounding error is
             # large relative to what is left: one more pass restores
             # orthogonality to working precision
-            coeffs += project(vec, m)
+            coeffs += project(vec, slice(m))
             after = float(np.linalg.norm(vec))
         return coeffs, after
 
@@ -841,9 +846,7 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     def fresh():
         """Write a seeded random vector, orthonormalized against basis[:m],
         into basis[m]."""
-        q = rng.standard_normal(dim)
-        if not real:
-            q = q + 1j * rng.standard_normal(dim)
+        q = _draw(rng, dim, real)
         np.divide(q, orthogonalize(q, m)[1], out=basis[m])
 
     norm_est = 0.0
@@ -862,8 +865,7 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         # vectors) and DGKS rarely asks for a second pass.  A slice, not a
         # view, so that no name keeps the basis alive past its del
         last = slice(max(m - 2, 0), m)
-        near = np.conj(basis[last] @ w.conj())
-        w -= basis[last].T @ near
+        near = project(w, last)
         coeffs, beta = orthogonalize(w, m)
         coeffs[last] += near
         tmat[:m, m - 1] = coeffs

@@ -35,7 +35,7 @@ _PAULI = {
 def pauli(axis: str) -> np.ndarray:
     """Standard 2 x 2 Pauli matrix for axis 'x', 'y' or 'z'."""
     if axis not in _PAULI:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+        raise ContractError(f"axis must be one of {AXES}, got {axis!r}")
     return _PAULI[axis].copy()
 
 

@@ -263,11 +263,16 @@ class TestDecompositionCheck:
             with pytest.raises(SizingError, match="past the double range"):
                 verify_h2_decomposition(WeightTriple(*weights), 1.0)
 
-    def test_distance_past_the_double_range_reads_inf(self):
+    @pytest.mark.parametrize("weights, mu_b0", [((0.0, 0.0, 6.6e153), 7e307),
+                                                ((8e153, 0.0, 0.0), 1.0),
+                                                ((1.0, 1.0, 1.0), 8e307)])
+    def test_distance_past_the_double_range_refused(self, weights, mu_b0):
+        # an inf residual judges nothing and is no JSON number, so it is
+        # refused as check_property refuses one
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = verify_h2_decomposition(WeightTriple(0.0, 0.0, 6.6e153), 7e307)
-        assert report.residual == np.inf and not report.passed
+            with pytest.raises(SizingError, match="past the double range"):
+                verify_h2_decomposition(WeightTriple(*weights), mu_b0)
 
 
 class TestSpecSerialization:
