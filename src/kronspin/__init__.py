@@ -70,6 +70,7 @@ from .matfree_engine import (
     total_component_kronsum,
     total_spin_squared,
     total_spin_squared_kronsum,
+    total_spin_squared_ladder,
 )
 from .matrix_io import format_matrix, load_matrix, parse_matrix, save_matrix
 
@@ -130,5 +131,6 @@ __all__ = [
     "total_component_kronsum",
     "total_spin_squared",
     "total_spin_squared_kronsum",
+    "total_spin_squared_ladder",
     "verify_h2_decomposition",
 ]

@@ -57,14 +57,17 @@ def is_finite_number(value) -> bool:
 def to_number(kind, value, what: str):
     """``kind(value)`` for ``kind`` float or complex; ContractError naming
     ``what`` when it cannot be formed: for an integer past the double range
-    or a value that is no number."""
-    try:
-        return kind(value)
-    except OverflowError:
-        raise ContractError(f"{what} must be finite, got an integer past the double "
-                            "range") from None
-    except (TypeError, ValueError):
-        raise ContractError(f"{what} must be a number, got {value!r}") from None
+    or a value that is no number, text included, though ``kind`` would parse
+    a numeric string such as "1.5"."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ContractError(f"{what} must be finite, got an integer past the double "
+                                "range") from None
+        except (TypeError, ValueError):
+            pass
+    raise ContractError(f"{what} must be a number, got {value!r}")
 
 
 def frobenius(a: np.ndarray) -> float:

@@ -10,7 +10,9 @@ of each full-matrix commutator, computed from the operators' flip forms
 without forming a 2^n x 2^n matrix (method ``dense``); above it, the largest
 residual over seeded real unit probe vectors (method ``probe``).  The three
 pairs share the probes: H x, S_z x and S^2 x are computed once per probe and
-each pair adds one product on each side, 9 matvecs per probe.
+each pair adds one product on each side, 9 operator products per probe.  H
+and S_z are applied by ``matvec``, S^2 as S_- S_+ + S_z (S_z + 1) through
+``total_spin_squared_ladder``.
 
 Exit codes are stable: 0 ok, 1 checks ran but at least one failed, 2 usage or
 parse error, 3 capacity/allocation, 4 engine mismatch (dense request above
@@ -63,6 +65,7 @@ from .matfree_engine import (
     total_component_kronsum,
     total_spin_squared,  # noqa: F401  kept importable: benchmark/tracing.py wraps it
     total_spin_squared_kronsum,
+    total_spin_squared_ladder,
 )
 from .matrix_io import format_matrix, load_matrix, save_matrix
 from .spin_algebra import (
@@ -363,20 +366,27 @@ def cmd_conserved(args: argparse.Namespace) -> int:
         else:
             rng = np.random.default_rng(seed)
             dim = h.dimension
+            # S^2 through its ladder operators: 2n half-length moves where
+            # its complete-graph plan makes n(n - 1) quarter-length ones
+            spin_squared = total_spin_squared_ladder(n)
+
+            def product(op, x):
+                return spin_squared(x) if op is s_sq else matvec(op, x)
+
             worst = [0.0] * len(pairs)
-            # an overflow in a matvec, or a residual norm past the double
+            # an overflow in a product, or a residual norm past the double
             # range, leaves that residual inf or NaN, refused below
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(PROBE_COUNT):
-                    # H, S_z and S^2 compile to real plans, so a real probe
-                    # keeps every matvec in float64
+                    # H, S_z and S^2 apply real plans, so a real probe keeps
+                    # every product in float64
                     x = rng.standard_normal(dim)
                     x /= np.linalg.norm(x)
                     # each operator's product with x serves both pairs it is in
                     # (operators hash by identity)
-                    applied = {op: matvec(op, x) for op in (h, s_z, s_sq)}
+                    applied = {op: product(op, x) for op in (h, s_z, s_sq)}
                     for p, (_, first, second, _) in enumerate(pairs):
-                        r = matvec(first, applied[second]) - matvec(second, applied[first])
+                        r = product(first, applied[second]) - product(second, applied[first])
                         # np.maximum keeps a NaN that max() could drop;
                         # frobenius rescales a norm whose square overflows
                         worst[p] = np.maximum(worst[p], frobenius(r))

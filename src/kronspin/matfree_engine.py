@@ -22,9 +22,12 @@ scratch holds x times the weight, computed once, and each move is a single
 add; otherwise it holds each move's weighted slab in turn.  A slab whose
 contiguous run is shorter than 8 amplitudes (the last sites of a chain, most
 S^2 edges) is iterated along its longest axis instead, so numpy's inner loop
-is long; the plan keeps these per-move facts after the first matvec.  Each
-amplitude gets the same multiply and the same adds in plan order either way,
-so the result is the plain per-move loop's bit for bit.
+is long; the plan keeps these per-move facts after the first matvec.  The
+moves run with numpy's ufunc buffer at 256 elements, restored on return:
+at the default 8192, a slab whose contiguous runs hold 128-2048 amplitudes
+took two to three times as long.  Each amplitude gets the same multiply and
+the same adds in plan order either way, so the result is the plain per-move
+loop's bit for bit.
 
 A plan is real when its diagonal is float64, every move weight is a real
 float and no fallback terms remain: every spec Hamiltonian (any XXZ
@@ -51,6 +54,13 @@ are built only when read, so a matvec, a dense matrix or a commutator norm
 of these operators constructs no term.  A dense H, S_axis or S^2 is the
 flip form of its plan scattered into a 2^n x 2^n matrix, row k of the
 coefficients at (s, s ^ masks[k]), equal to the lifted forms bitwise.
+
+That complete graph costs S^2 n(n - 1) quarter-length moves per matvec.
+``total_spin_squared_ladder`` applies S^2 = S_- S_+ + S_z (S_z + 1) instead:
+S_+ and S_- are plans of one half-length move of weight 1 per site, written
+by ``_write_plan`` with no term built, and S_z (S_z + 1) is one diagonal, so
+S^2 x is 2n slab updates and a diagonal pass.  Its columns are the dense
+S^2's bitwise; ``conserved``'s probes use it for every S^2 product.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec.  Its
 seed fixes every random vector of a solve, in order: the Hermitian check's
@@ -369,6 +379,9 @@ _ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(1, 2, 1, 2, 1)
 # (dst, src) slab indices of an exchange edge's two moves
 _FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
                (_slab_index((1, 0)), _slab_index((0, 1))))
+# sigma^+ = |0><1| (bit 0 is spin up, sigma_z = +1): the (dst, src) slab
+# indices of a raising move; a lowering move swaps them
+_RAISE = (_slab_index((0,)), _slab_index((1,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +438,13 @@ def _apply_site(src, f, slot: int, n: int, out) -> None:
             half += row[c] * v[:, c]
 
 
+# numpy's ufunc buffer, in elements, while ``matvec`` runs its moves.  At the
+# default 8192, a quarter-slab add of a 16-site chain whose contiguous runs
+# hold 128-2048 amplitudes took 27-33 us, against 9-16 us at 256; runs of
+# 4096 or more took 8-10 us at either size (best of 200, 2 vCPUs, numpy 2.4)
+_SLAB_BUFSIZE = 256
+
+
 def matvec(op: KronSum, x) -> np.ndarray:
     """y = op @ x without materializing op.
 
@@ -438,17 +458,24 @@ def matvec(op: KronSum, x) -> np.ndarray:
     is scaled by it once and each move adds a slab of that copy; otherwise
     each move first writes its weighted slab into one reused scratch row.  A
     slab with runs shorter than 8 amplitudes is iterated along its longest
-    axis (``MatvecPlan.sweeps``).  Neither choice changes a bit of y.
+    axis (``MatvecPlan.sweeps``), and the moves run with numpy's ufunc
+    buffer at 256 elements, restored on return.  None of these changes a bit
+    of y.
 
     When the plan is real and ``x`` is float64 the result is float64, equal
     to the real part of the complex128 result on the same state; in every
     other case ``x`` is converted to and the result returned in complex128.
     """
-    plan = op.plan
+    return _apply_plan(op.plan, x)
+
+
+def _apply_plan(plan: MatvecPlan, x) -> np.ndarray:
+    """``matvec`` of a compiled plan, which needs no KronSum: the ladder
+    plans of ``total_spin_squared_ladder`` have none."""
     x = np.asarray(x)
     real = plan.real and x.dtype == np.float64
     x = np.ascontiguousarray(x, dtype=np.float64 if real else np.complex128)
-    dim = op.dimension
+    dim = plan.diagonal.size
     if x.shape != (dim,):
         raise ShapeError(f"state length {x.shape} does not match dimension {dim}")
     y = plan.diagonal * x
@@ -458,26 +485,33 @@ def matvec(op: KronSum, x) -> np.ndarray:
         scratch = np.empty_like(x)
     else:
         source = shared * x
-    for shape, dst, src, weight, axes in plan.sweeps:
-        out = y.reshape(shape)[dst]
-        part = source.reshape(shape)[src]
-        if axes:
-            out = out.transpose(axes)
-            part = part.transpose(axes)
-        if shared is None:
-            weighted = scratch[: part.size].reshape(part.shape)
-            part = np.multiply(weight, part, out=weighted, order="C")
-        # order="C" keeps the axis order given, where numpy would otherwise
-        # iterate the smallest stride innermost
-        np.add(out, part, out=out, order="C")
+    # set and restored by hand: np.errstate scopes the buffer size only on
+    # numpy 2
+    bufsize = np.setbufsize(_SLAB_BUFSIZE)
+    try:
+        for shape, dst, src, weight, axes in plan.sweeps:
+            out = y.reshape(shape)[dst]
+            part = source.reshape(shape)[src]
+            if axes:
+                out = out.transpose(axes)
+                part = part.transpose(axes)
+            if shared is None:
+                weighted = scratch[: part.size].reshape(part.shape)
+                part = np.multiply(weight, part, out=weighted, order="C")
+            # order="C" keeps the axis order given, where numpy would
+            # otherwise iterate the smallest stride innermost
+            np.add(out, part, out=out, order="C")
+    finally:
+        np.setbufsize(bufsize)
     if plan.fallback:
+        n = dim.bit_length() - 1
         ping = np.empty(dim, dtype=np.complex128)
         pong = np.empty(dim, dtype=np.complex128)
         for term in plan.fallback:
             v = x
             for slot in term.active_slots:
                 out = pong if v is ping else ping
-                _apply_site(v, term.factors[slot], slot, op.n_sites, out)
+                _apply_site(v, term.factors[slot], slot, n, out)
                 v = out
             # a fallback term has three or more sites, so v is never x
             v *= term.coefficient
@@ -652,6 +686,34 @@ def total_spin_squared_kronsum(n: int) -> ExchangeSum:
     n = _check_site_count(n)
     pairs = itertools.combinations(range(1, n + 1), 2)
     return ExchangeSum(n, None, [(i, j, 0.5, 0.5) for i, j in pairs], 0.75 * n)
+
+
+def total_spin_squared_ladder(n: int):
+    """S^2 x as S_- (S_+ x) + S_z (S_z + 1) x: returns the function taking a
+    length-2^n state x to S^2 x, float64 for a float64 state and complex128
+    otherwise, as ``matvec`` returns.  S_+ = sum_k sigma^+(k) and S_- = sum_k
+    sigma^-(k) are plans of one single-site move of weight 1 per site and a
+    zero diagonal, and d = z (z + 1) is formed once from S_z's plan diagonal
+    z.  That is 2n half-length slab updates and one diagonal pass, against
+    the n(n - 1) quarter-length moves of ``total_spin_squared_kronsum``'s
+    complete graph.  Columns are the dense S^2's bit for bit (every sum is of
+    small integers and quarter-integers); on other states the two agree to
+    rounding.  ContractError unless ``n`` is a positive integer."""
+    n = _check_site_count(n)
+    raising, lowering = (
+        _write_plan(n, [((slot,), 0.0, [(dst, src, 1.0)]) for slot in range(n)], ())
+        for dst, src in (_RAISE, _RAISE[::-1])
+    )
+    z = total_component_kronsum("z", n).plan.diagonal
+    shift = z * (z + 1.0)
+
+    def spin_squared(x) -> np.ndarray:
+        x = np.asarray(x)
+        y = _apply_plan(lowering, _apply_plan(raising, x))
+        y += shift * x
+        return y
+
+    return spin_squared
 
 
 def _scatter_dense(plan: MatvecPlan) -> np.ndarray:

@@ -44,6 +44,7 @@ from kronspin.matfree_engine import (
     total_component,
     total_spin_squared,
     total_spin_squared_kronsum,
+    total_spin_squared_ladder,
 )
 from kronspin.matrix_io import load_matrix, save_matrix
 from kronspin.spin_algebra import conserved_residual, pauli
@@ -567,18 +568,30 @@ class TestConserved:
 
     def test_probes_are_shared_by_the_three_pairs(self, tmp_path, capsys, monkeypatch):
         # per probe, H x, S_z x and S^2 x once, then one more product on
-        # each side of each pair: 9 matvecs, not 12
+        # each side of each pair: 9 operator products, not 12.  H and S_z
+        # go through matvec, S^2 through its ladder operators
         calls = []
 
         def counted(op, x):
-            calls.append(1)
+            calls.append("matvec")
             return matvec(op, x)
 
+        def counted_ladder(n):
+            spin_squared = total_spin_squared_ladder(n)
+
+            def product(x):
+                calls.append("S^2")
+                return spin_squared(x)
+
+            return product
+
         monkeypatch.setattr(cli, "matvec", counted)
+        monkeypatch.setattr(cli, "total_spin_squared_ladder", counted_ladder)
         spec = chain_spec(13)
         assert run(["conserved", write_spec(tmp_path, spec), "--json",
                     "--debug-anisotropy", "2"]) == EXIT_CHECK_FAILED
         assert len(calls) == 9 * PROBE_COUNT == 27
+        assert calls.count("S^2") == 3 * PROBE_COUNT
         rows = json.loads(capsys.readouterr().out)["results"]
         assert rows[0]["note"].startswith(f"matrix-free probe at n=13, {PROBE_COUNT} unit vectors")
         # a unit probe's residual is at most the 2-norm, itself at most the

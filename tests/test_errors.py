@@ -2,6 +2,8 @@
 value), so a caller catching the taxonomy's base catches it; each such error
 is also a ValueError, as these refusals were before."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,21 @@ def test_refusal_is_a_kronspin_error(call):
         call()
     assert isinstance(err.value, ContractError)
     assert isinstance(err.value, ValueError)
+
+
+NUMERIC_TEXT = {
+    "spec-mu_b0": lambda v: HamiltonianSpec(2, v),
+    "edge-strength": lambda v: CouplingEdge(1, 2, v),
+    "weight": lambda v: WeightTriple(v, 1, 1),
+    "term-coefficient": lambda v: KronTerm(v, (None,)),
+}
+
+
+@pytest.mark.parametrize("value", ["1.5", " 2 ", "1+2j", b"1.5"])
+@pytest.mark.parametrize("build", NUMERIC_TEXT.values(), ids=NUMERIC_TEXT.keys())
+def test_numeric_text_is_no_number(build, value):
+    # float() and complex() parse such text; ExchangeSum already refused it
+    with pytest.raises(ContractError, match=re.escape(f"must be a number, got {value!r}")):
+        build(value)
+    with pytest.raises(ContractError, match="must be finite"):
+        ExchangeSum(2, value, ())

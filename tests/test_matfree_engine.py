@@ -41,6 +41,7 @@ from kronspin.matfree_engine import (
     total_component_kronsum,
     total_spin_squared,
     total_spin_squared_kronsum,
+    total_spin_squared_ladder,
 )
 from kronspin.spin_algebra import conserved_residual, pauli
 
@@ -510,6 +511,58 @@ class TestMatvecOracle:
         assert plan.shared_weight is None
 
 
+class TestMatvecBufferSize:
+    """``matvec`` runs its moves with numpy's ufunc buffer at a fixed size
+    and leaves the caller's buffer size and error settings as it found
+    them, on return and on an error."""
+
+    @staticmethod
+    def ring():
+        # 14 sites: 28 moves, some with runs shorter than the default buffer
+        edges = [CouplingEdge(k, k + 1, 1.0) for k in range(1, 14)] + [CouplingEdge(1, 14, 1.0)]
+        op = spec_to_kronsum(HamiltonianSpec(14, 1.0, tuple(edges)))
+        op.plan  # compiled before any ufunc is stubbed
+        return op, np.random.default_rng(2000).standard_normal(op.dimension)
+
+    def test_restored_on_return(self, monkeypatch):
+        op, x = self.ring()
+        before = np.getbufsize()
+        seen = []
+        real_add = np.add
+
+        def add(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return real_add(*args, **kwargs)
+
+        monkeypatch.setattr(np, "add", add)
+        matvec(op, x)
+        assert seen == [matfree_engine._SLAB_BUFSIZE] * len(op.plan.moves)
+        assert np.getbufsize() == before
+
+    def test_restored_when_a_move_raises(self, monkeypatch):
+        op, x = self.ring()
+        before = np.getbufsize()
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "add", exhausted)
+        with pytest.raises(MemoryError):
+            matvec(op, x)
+        assert np.getbufsize() == before
+
+    def test_restored_inside_a_callers_errstate(self):
+        op, x = self.ring()
+        want = matvec(op, x)
+        with np.errstate(over="ignore"):
+            settings, before = np.geterr(), np.getbufsize()
+            got = matvec(op, x)
+            assert np.geterr() == settings
+            assert settings["over"] == "ignore"
+            assert np.getbufsize() == before
+        assert got.tobytes() == want.tobytes()
+
+
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 PROJECTOR_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
 TRIANGULAR = np.array([[0.6 - 0.3j, 1.2 + 0.4j], [0.0, -0.8 + 0.5j]])
@@ -688,6 +741,7 @@ class TestConservedKronsums:
         "total_spin_squared_kronsum": total_spin_squared_kronsum,
         "total_component x": lambda n: total_component("x", n),
         "total_spin_squared": total_spin_squared,
+        "total_spin_squared_ladder": total_spin_squared_ladder,
     }
 
     @pytest.mark.parametrize("n", [2.5, "3", True])
@@ -697,6 +751,40 @@ class TestConservedKronsums:
         with pytest.raises(ContractError, match="n_sites must be a positive integer"):
             self.BUILDERS[builder](n)
 
+
+class TestSpinSquaredLadder:
+    """S^2 x as S_- (S_+ x) + S_z (S_z + 1) x, against the complete-graph
+    plan and the dense S^2."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_complete_graph_plan(self, n):
+        rng = np.random.default_rng(1800 + n)
+        spin_squared = total_spin_squared_ladder(n)
+        op = total_spin_squared_kronsum(n)
+        for complex_state in (False, True):
+            x = oracle_state(rng, n, complex_state)
+            got, want = spin_squared(x), matvec(op, x)
+            assert got.dtype == want.dtype
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_columns_equal_dense_bitwise(self, n):
+        spin_squared = total_spin_squared_ladder(n)
+        columns = np.stack([spin_squared(e) for e in np.eye(1 << n)], axis=1)
+        dense = total_spin_squared(n)
+        assert columns.dtype == np.float64
+        assert not dense.imag.any()
+        assert columns.tobytes() == dense.real.tobytes()
+
+    def test_real_state_stays_real(self):
+        x = np.random.default_rng(1900).standard_normal(1 << 6)
+        assert total_spin_squared_ladder(6)(x).dtype == np.float64
+        assert total_spin_squared_ladder(6)(x.astype(np.complex128)).dtype == np.complex128
+
+    def test_wrong_length_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="does not match dimension 16"):
+            total_spin_squared_ladder(4)(np.ones(8))
 
 
 def assert_plans_bitwise_equal(got, want):
