@@ -7,7 +7,8 @@ as executable checks, the perfect-shuffle similarity), ``spin_algebra``
 Kronecker terms, among them the spec Hamiltonian, S_axis and S^2, as a
 diagonal plus strided moves for 2^n state vectors, written from the edge
 list for H and S^2, the dense Hamiltonian and spin totals scattered from its
-flip form, and a Lanczos extremal eigensolver), ``hamiltonian_builder``
+flip form, exact commutator norms from Pauli strings, and a Lanczos extremal
+eigensolver), ``hamiltonian_builder``
 (Zeeman + isotropic exchange Hamiltonians from declarative specs, built
 dense through ``matfree_engine``'s scatter), ``matrix_io`` (text matrix
 round-tripping) and ``cli`` (batch front end).

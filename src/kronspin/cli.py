@@ -5,14 +5,9 @@ runs the eight Kronecker-law checks on a pair of square matrices,
 ``spectrum`` diagonalizes a Hamiltonian spec (dense or matrix-free Lanczos),
 ``conserved`` measures the [H, S_z], [H, S^2], [S_z, S^2] commutator
 residuals, and ``bench`` times matrix-free matvecs across register sizes.
-Up to the 12-site dense cap, ``conserved`` reports the exact Frobenius norm
-of each full-matrix commutator, computed from the operators' flip forms
-without forming a 2^n x 2^n matrix (method ``dense``); above it, the largest
-residual over seeded real unit probe vectors (method ``probe``).  The three
-pairs share the probes: H x, S_z x and S^2 x are computed once per probe and
-each pair adds one product on each side, 9 operator products per probe.  H
-and S_z are applied by ``matvec``, S^2 as S_- S_+ + S_z (S_z + 1) through
-``total_spin_squared_ladder``.
+At every register size ``conserved`` reports the exact Frobenius norm of
+each full-matrix commutator (method ``dense``), read from the operators'
+Pauli strings by ``commutator_norm`` without any length-2^n array.
 
 Exit codes are stable: 0 ok, 1 checks ran but at least one failed, 2 usage or
 parse error, 3 capacity/allocation, 4 engine mismatch (dense request above
@@ -40,7 +35,7 @@ import time
 
 import numpy as np
 
-from ._common import DEFAULT_TOL, frobenius
+from ._common import DEFAULT_TOL
 from .errors import (
     CapacityError,
     ContractError,
@@ -65,11 +60,9 @@ from .matfree_engine import (
     total_component_kronsum,
     total_spin_squared,  # noqa: F401  kept importable: benchmark/tracing.py wraps it
     total_spin_squared_kronsum,
-    total_spin_squared_ladder,
 )
 from .matrix_io import format_matrix, load_matrix, save_matrix
 from .spin_algebra import (
-    DENSE_SITE_CAP,
     conserved_residual,  # noqa: F401  kept importable: benchmark/tracing.py wraps it
 )
 
@@ -80,10 +73,10 @@ EXIT_CAPACITY = 3
 EXIT_ENGINE = 4
 EXIT_NO_CONVERGENCE = 5
 
-# Conservation threshold: structural zeros measured exactly or through probe
-# vectors land many orders below this for isotropic specs.
+# Conservation threshold: the structural zeros of an isotropic spec's
+# commutators sum their cancelling Pauli-string products pairwise and read
+# 0.0, far below it.
 CONSERVED_TOL = 1e-8
-PROBE_COUNT = 3
 
 # numpy raises ValueError, not MemoryError, for an array over intp-max bytes;
 # past this size a complex128 state is refused before anything is allocated
@@ -346,6 +339,7 @@ def cmd_conserved(args: argparse.Namespace) -> int:
         raise ContractError(f"--tol {tol!r} times the spec's largest value {h_scale!r} is past "
                             "the double range")
     n = spec.n_sites
+    # no state is formed, but the register cap is every command's
     if n > MAX_STATE_SITES:
         raise SizingError(_state_alloc_message(n))
     scale_note = "" if z_scale == 1.0 else f"; z couplings scaled by {z_scale:g} (anisotropy injection)"
@@ -359,42 +353,7 @@ def cmd_conserved(args: argparse.Namespace) -> int:
         ("[S_z, S^2]", s_z, s_sq, tol),
     )
     try:
-        if n <= DENSE_SITE_CAP:
-            measured = [commutator_norm(first, second) for _, first, second, _ in pairs]
-            method = "dense"
-            note = f"exact full-matrix Frobenius norm at n={n}{scale_note}"
-        else:
-            rng = np.random.default_rng(seed)
-            dim = h.dimension
-            # S^2 through its ladder operators: 2n half-length moves where
-            # its complete-graph plan makes n(n - 1) quarter-length ones
-            spin_squared = total_spin_squared_ladder(n)
-
-            def product(op, x):
-                return spin_squared(x) if op is s_sq else matvec(op, x)
-
-            worst = [0.0] * len(pairs)
-            # an overflow in a product, or a residual norm past the double
-            # range, leaves that residual inf or NaN, refused below
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(PROBE_COUNT):
-                    # H, S_z and S^2 apply real plans, so a real probe keeps
-                    # every product in float64
-                    x = rng.standard_normal(dim)
-                    x /= np.linalg.norm(x)
-                    # each operator's product with x serves both pairs it is in
-                    # (operators hash by identity)
-                    applied = {op: product(op, x) for op in (h, s_z, s_sq)}
-                    for p, (_, first, second, _) in enumerate(pairs):
-                        r = product(first, applied[second]) - product(second, applied[first])
-                        # np.maximum keeps a NaN that max() could drop;
-                        # frobenius rescales a norm whose square overflows
-                        worst[p] = np.maximum(worst[p], frobenius(r))
-            measured = [float(value) for value in worst]
-            if not all(map(math.isfinite, measured)):
-                raise SizingError(f"a probe residual at n={n} overflows past the double range")
-            method = "probe"
-            note = f"matrix-free probe at n={n}, {PROBE_COUNT} unit vectors, seed {seed}{scale_note}"
+        measured = [commutator_norm(first, second) for _, first, second, _ in pairs]
     except MemoryError:
         raise SizingError(_state_alloc_message(n)) from None
 
@@ -404,8 +363,8 @@ def cmd_conserved(args: argparse.Namespace) -> int:
             "tolerance": bound,
             "residual": float(value),
             "passed": bool(value < bound),
-            "method": method,
-            "note": note,
+            "method": "dense",
+            "note": f"exact full-matrix Frobenius norm at n={n}{scale_note}",
         }
         for (name, _, _, bound), value in zip(pairs, measured)
     ]
@@ -483,7 +442,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "tolerance": None,
                 "n_sites": n,
                 "dimension": dim,
-                "terms": len(op.terms),
+                # the string count, len(op.terms) for an ExchangeSum
+                # without building a KronTerm
+                "terms": len(op.pauli_strings[2]),
                 "repeats": repeats,
                 "wall_seconds": best,
                 "amplitudes_touched": op.plan.amplitudes_touched,
@@ -581,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--tol", type=float, default=CONSERVED_TOL,
                    help="pass threshold, times max(1, |mu_b0|, |J|, |J * Z_SCALE|) for [H, .] rows")
-    p.add_argument("--seed", type=int, default=0, help="probe-vector seed (matrix-free path)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and checked for older scripts; conserved draws nothing")
     p.add_argument(
         "--debug-anisotropy",
         type=float,

@@ -35,32 +35,38 @@ anisotropy), S_z, S_x and S^2 has a real plan.  ``matvec`` of a real plan
 on a float64 state stays float64 end to end, at half the memory traffic of
 complex128; every other combination computes in complex128.
 
-A plan without fallback terms is a sum of masked bit flips, its flip form
-(``KronSum.flip_form``): ``(op x)[s] = sum_m c_m[s] x[s ^ m]``, where mask
-0 carries the diagonal and each move adds its weight to c_m on its
-destination slab, m being the state bits in which its out and in bits
-differ (Sandvik, arXiv:1101.3281 sec. 4).  A product of two such operators
-is again one, with the masks XORed, so ``commutator_norm`` gives the exact
-Frobenius norm of ab - ba in O(#masks_a #masks_b 2^n) work and one
-length-2^n row per distinct product mask, never a 2^n x 2^n matrix.
+A plan without fallback terms is a sum of masked bit flips, its flip form:
+``(op x)[s] = sum_m c_m[s] x[s ^ m]``, where mask 0 carries the diagonal and
+each move adds its weight to c_m on its destination slab, m being the state
+bits in which its out and in bits differ (Sandvik, arXiv:1101.3281 sec. 4).
+
+Every operator is also a sum of Pauli strings c X^x Z^z
+(``KronSum.pauli_strings``), x and z being bit masks and Y = i XZ (the
+encoding of Aaronson & Gottesman, PRA 70, 052328, 2004).  By the mixed
+product law two strings either commute or anticommute, so [P, Q] is 0 or
+2 PQ, and strings are orthogonal, tr(P^H Q) = 2^n delta_PQ, so
+``commutator_norm`` gives the exact Frobenius norm of ab - ba as 2^(n/2)
+sqrt(sum_R |c_R|^2) over its product strings R: one product per pair of
+strings, with nothing of length 2^n.
 
 The spec Hamiltonian, S_z and S^2 share one shape, a constant and a field
 on every site plus exchange couplings on a graph (S_z is the field 1/2
 without edges, S^2 the complete graph at J = 1/2 plus 3n/4).  Each is an
 ``ExchangeSum``, which keeps only that edge list and checks its values once:
 it hands ``_write_plan`` one site set per site and per edge, their diagonal
-slabs and flip-flop moves read straight from the edges, and its KronTerms
-are built only when read, so a matvec, a dense matrix or a commutator norm
-of these operators constructs no term.  A dense H, S_axis or S^2 is the
-flip form of its plan scattered into a 2^n x 2^n matrix, row k of the
-coefficients at (s, s ^ masks[k]), equal to the lifted forms bitwise.
+slabs and flip-flop moves read straight from the edges, it writes its Pauli
+strings from the edges too, and its KronTerms are built only when read, so
+a matvec, a dense matrix or a commutator norm of these operators constructs
+no term.  A dense H, S_axis or S^2 scatters the flip form of its plan, row
+k of the coefficients at (s, s ^ masks[k]), equal to the lifted forms
+bitwise.
 
 That complete graph costs S^2 n(n - 1) quarter-length moves per matvec.
 ``total_spin_squared_ladder`` applies S^2 = S_- S_+ + S_z (S_z + 1) instead:
 S_+ and S_- are plans of one half-length move of weight 1 per site, written
 by ``_write_plan`` with no term built, and S_z (S_z + 1) is one diagonal, so
 S^2 x is 2n slab updates and a diagonal pass.  Its columns are the dense
-S^2's bitwise; ``conserved``'s probes use it for every S^2 product.
+S^2's bitwise.
 
 ``lanczos_extremal`` finds extremal eigenvalues using only matvec.  Its
 seed fixes every random vector of a solve, in order: the Hermitian check's
@@ -174,11 +180,36 @@ class KronSum:
         return _compile(self)
 
     @cached_property
-    def flip_form(self) -> FlipForm:
-        """The plan as masked bit flips, which ``commutator_norm`` reads;
-        built on first use and kept with the operator like ``plan``.  Raises
-        ContractError when a term has three or more active sites."""
-        return _flip_form(self.plan)
+    def pauli_strings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator as sum_r c[r] X^x[r] Z^z[r]: int64 bit masks x and z
+        (site k at bit n - k) and complex coefficients c, Y being i XZ.  Each
+        factor f expands as sum_P tr(P^T f) / 2 P over P in I, X, Z and XZ,
+        which are real and orthogonal, so a term on k sites gives up to 4^k
+        strings; each factor's zero weights are dropped.  Built on first use
+        and kept with the operator like ``plan``."""
+        n = self.n_sites
+        strings = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
+        for term in self.terms:
+            x = z = np.zeros(1, np.int64)
+            c = np.array([term.coefficient])
+            for slot in term.active_slots:
+                weights = np.einsum("kab,ab->k", _STRING_FACTORS, term.factors[slot]) / 2
+                k = np.flatnonzero(weights)
+                x = (x[:, None] | (k & 1) << (n - 1 - slot)).ravel()
+                z = (z[:, None] | (k >> 1) << (n - 1 - slot)).ravel()
+                c = (c[:, None] * weights[k]).ravel()
+            strings.append((x, z, c))
+        return _frozen(*map(np.concatenate, zip(*strings)))
+
+
+def _frozen(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# X^x Z^z at index x + 2 z: I, X, Z and XZ (Y = i XZ)
+_STRING_FACTORS = np.array([np.eye(2), pauli("x"), pauli("z"), pauli("x") @ pauli("z")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,26 +415,14 @@ _FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
 _RAISE = (_slab_index((0,)), _slab_index((1,)))
 
 
-@dataclass(frozen=True, eq=False)
-class FlipForm:
-    """A plan without fallback terms as a sum of masked bit flips:
-    ``(op @ x)[s] = sum_k coefficients[k, s] * x[s ^ masks[k]]``.
-
-    ``masks`` holds distinct int64 flip masks, ``masks[0] == 0`` carrying
-    the diagonal; row k of ``coefficients`` sums the weights of every move
-    whose out and in bits differ exactly in ``masks[k]``, each on its
-    destination slab.  The rows are float64 for a real plan, else
-    complex128.  Each (mask, s) pair is one matrix entry, so the squared
-    Frobenius norm of the operator is the sum of the squared rows.
-    """
-
-    masks: np.ndarray
-    coefficients: np.ndarray
-
-
-def _flip_form(plan: MatvecPlan) -> FlipForm:
-    """The plan's moves summed into one row per flip mask; ContractError
-    when the plan keeps fallback terms."""
+def _flip_form(plan: MatvecPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The plan as masked bit flips, ``(op @ x)[s] = sum_k coefficients[k, s]
+    * x[s ^ masks[k]]``: distinct int64 ``masks`` in order of first
+    appearance, ``masks[0] == 0`` carrying the diagonal, and row k of
+    ``coefficients`` (float64 for a real plan, else complex128) summing the
+    weights of every move whose out and in bits differ exactly in
+    ``masks[k]``, each on its destination slab.  ContractError when the plan
+    keeps fallback terms."""
     if plan.fallback:
         raise ContractError(
             f"the flip form needs terms on at most two sites; {len(plan.fallback)} "
@@ -418,10 +437,7 @@ def _flip_form(plan: MatvecPlan) -> FlipForm:
     for shape, dst, _, weight, mask in plan.moves:
         part = coefficients[row_of[mask]].reshape(shape)[dst]
         part += weight
-    masks = np.array(list(row_of), dtype=np.int64)
-    masks.setflags(write=False)
-    coefficients.setflags(write=False)
-    return FlipForm(masks, coefficients)
+    return np.array(list(row_of), dtype=np.int64), coefficients
 
 
 def _apply_site(src, f, slot: int, n: int, out) -> None:
@@ -538,46 +554,52 @@ def to_dense(op: KronSum) -> np.ndarray:
     return out
 
 
-def commutator_norm(a: KronSum, b: KronSum) -> float:
-    """Exact Frobenius norm of ab - ba, read from the flip forms without
-    any 2^n x 2^n matrix.
+def _parity(v: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each non-negative int64 in ``v``, folded
+    in place by shifts (``np.bitwise_count`` needs numpy 2)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    v &= 1
+    return v
 
-    With a = sum_alpha c_alpha[s] x[s ^ alpha] and b = sum_beta
-    d_beta[s] x[s ^ beta], the commutator has flip mask alpha ^ beta with
-    coefficient c_alpha[s] d_beta[s ^ alpha] - d_beta[s] c_alpha[s ^ beta],
-    summed over the pairs sharing that mask; its squared norm is the sum
-    over masks of the squared coefficient rows.  Work is
-    O(#masks_a #masks_b 2^n), memory one length-2^n row per distinct product
-    mask.  A real and a complex operand compute in complex128.  Raises
-    ContractError when the site counts differ or a term of either operand
-    acts on three or more sites, and SizingError when a product of
-    coefficients, or the norm itself, is past the double range.
+
+def commutator_norm(a: KronSum, b: KronSum) -> float:
+    """Exact Frobenius norm of ab - ba, read from the Pauli strings without
+    any length-2^n array.
+
+    Z^z X^x = (-1)^parity(z & x) X^x Z^z, so P = X^xa Z^za and Q = X^xb Z^zb
+    anticommute when parity(za & xb) != parity(zb & xa), and then [P, Q] =
+    2 PQ = +-2 X^(xa ^ xb) Z^(za ^ zb), of sign (-1)^parity(za & xb);
+    otherwise they commute.  The products are summed per string and, the
+    strings being orthogonal with squared norm 2^n, the norm is 2^(n/2)
+    times that of the sums.  Work and memory are one product per pair of
+    strings.  Raises ContractError when the site counts differ and
+    SizingError past 63 sites, whose strings do not fit int64 bit masks, or
+    when a product, a sum or the norm is past the double range.
     """
     if a.n_sites != b.n_sites:
         raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
-    outer, inner = a.flip_form, b.flip_form
-    # ||[a, b]|| = ||[b, a]||: loop over the operand with fewer masks and
-    # vectorize over the other
-    if inner.masks.size > outer.masks.size:
-        outer, inner = inner, outer
-    states = np.arange(a.dimension)
-    products = np.bitwise_xor.outer(outer.masks, inner.masks)
-    distinct, row_of = np.unique(products, return_inverse=True)
-    row_of = row_of.reshape(products.shape)
-    acc = np.zeros((distinct.size, a.dimension),
-                   dtype=np.result_type(outer.coefficients, inner.coefficients))
-    shifted = states ^ outer.masks[:, None]  # row k: s ^ outer.masks[k]
-    c = outer.coefficients
-    # an overflow leaves an inf or NaN in acc, and so in the norm
+    if a.n_sites > 63:
+        raise SizingError(f"Pauli strings on {a.n_sites} sites do not fit int64 bit masks")
+    xa, za, ca = a.pauli_strings
+    xb, zb, cb = b.pauli_strings
+    flipped = _parity(za[:, None] & xb)
+    i, j = np.nonzero(flipped != _parity(xa[:, None] & zb))
+    x, z = xa[i] ^ xb[j], za[i] ^ zb[j]
+    # an overflow leaves an inf or NaN in the sums, and so in the norm
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, beta in enumerate(inner.masks):
-            d = inner.coefficients[j]
-            term = c * d[shifted]
-            term -= d * c[:, states ^ beta]
-            # the masks alpha ^ beta are distinct for one beta, so no row of
-            # acc is named twice
-            acc[row_of[:, j]] += term
-        norm = frobenius(acc)
+        # ca cb (+-2), not +-2 ca cb, which overflows on 1e308 * 0.5
+        c = ca[i] * cb[j] * np.where(flipped[i, j], -2.0, 2.0)
+        # by string, then |c|, then c: bincount adds each string's products
+        # in that order, so contributions that cancel meet in pairs and a
+        # structural zero sums to exactly 0.0 (reduceat's pairwise sums
+        # leave rounding there)
+        order = np.lexsort((c.imag, c.real, np.abs(c), z, x))
+        x, z, c = x[order], z[order], c[order]
+        # x and z are non-negative, so the first pair always starts a string
+        string = np.cumsum((np.diff(x, prepend=-1) != 0) | (np.diff(z, prepend=-1) != 0)) - 1
+        sums = [np.bincount(string, weights=part) for part in (c.real, c.imag)]
+        norm = frobenius(sums) * 2.0 ** (a.n_sites / 2)
     if not math.isfinite(norm):
         raise SizingError(f"the commutator of two {a.n_sites}-site operators has a coefficient "
                           "or norm past the double range")
@@ -657,6 +679,22 @@ class ExchangeSum(KronSum):
             site_sets.append(((i - 1, j - 1), j_z * _ZZ_SIGNS, flips))
         return _write_plan(n, site_sets, ())
 
+    @cached_property
+    def pauli_strings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Written straight from the edge list in ``terms`` order, float64
+        coefficients: the constant as the identity string (when nonzero), Z
+        on every site (unless ``zeeman`` is None), then per edge XX (j_xy),
+        (XZ)(XZ) (-j_xy, as YY = -(XZ)(XZ)) and ZZ (j_z)."""
+        n = self.n_sites
+        strings = [(0, 0, self.constant)] if self.constant else []
+        if self.zeeman is not None:
+            strings += [(0, 1 << (n - k), self.zeeman) for k in range(1, n + 1)]
+        for i, j, j_xy, j_z in self.edges:
+            m = (1 << (n - i)) | (1 << (n - j))
+            strings += [(m, 0, j_xy), (m, m, -j_xy), (0, m, j_z)]
+        x, z, c = zip(*strings) if strings else ((), (), ())
+        return _frozen(np.array(x, np.int64), np.array(z, np.int64), np.array(c, np.float64))
+
 
 def spec_to_kronsum(spec, z_scale: float = 1.0) -> ExchangeSum:
     """Matrix-free form of the Hamiltonian builder's general form: the field
@@ -719,10 +757,10 @@ def total_spin_squared_ladder(n: int):
 def _scatter_dense(plan: MatvecPlan) -> np.ndarray:
     """The plan's flip form as a complex128 2^n x 2^n matrix, entry
     (s, s ^ masks[k]) = coefficients[k, s]; ContractError on fallback terms."""
-    form = _flip_form(plan)
-    states = np.arange(form.coefficients.shape[1])
+    masks, coefficients = _flip_form(plan)
+    states = np.arange(coefficients.shape[1])
     dense = np.zeros((states.size, states.size), dtype=np.complex128)
-    dense[states, states ^ form.masks[:, None]] = form.coefficients
+    dense[states, states ^ masks[:, None]] = coefficients
     return dense
 
 

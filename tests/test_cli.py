@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -16,7 +17,6 @@ from kronspin.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_STATE_SITES,
-    PROBE_COUNT,
     build_parser,
     run,
 )
@@ -39,12 +39,10 @@ from kronspin.kron_core import kron
 from kronspin.matfree_engine import (
     KronTerm,
     commutator_norm,
-    matvec,
     spec_to_kronsum,
     total_component,
     total_spin_squared,
     total_spin_squared_kronsum,
-    total_spin_squared_ladder,
 )
 from kronspin.matrix_io import load_matrix, save_matrix
 from kronspin.spin_algebra import conserved_residual, pauli
@@ -100,6 +98,11 @@ def chain_spec(n: int, j: float = 1.0) -> HamiltonianSpec:
 
 def ring_spec(n: int) -> HamiltonianSpec:
     return HamiltonianSpec(n, 1.0, tuple(CouplingEdge(i, i % n + 1, 1.0) for i in range(1, n + 1)))
+
+
+# the 13-site chain with J = 6e307 on edge (1, 2) and 1 elsewhere
+ONE_HUGE_EDGE = HamiltonianSpec(
+    13, 1.0, tuple(CouplingEdge(i, i + 1, 6e307 if i == 1 else 1.0) for i in range(1, 13)))
 
 
 def assert_refused_as_overflow(capsys, code: int) -> None:
@@ -544,75 +547,52 @@ class TestConserved:
         failed = [r["name"] for r in report["results"] if not r["passed"]]
         assert failed == ["[H, S^2] commutator residual"]
 
-    def test_probe_method_above_dense_cap(self, tmp_path, capsys, report_schema):
-        spec = write_spec(
-            tmp_path,
-            HamiltonianSpec(13, 1.0, tuple(CouplingEdge(i, i + 1, 1.0) for i in range(1, 13))),
-        )
+    def test_exact_method_above_dense_cap(self, tmp_path, capsys, report_schema):
+        spec = write_spec(tmp_path, chain_spec(13))
         assert run(["conserved", spec, "--json"]) == EXIT_OK
         report = check_report(capsys.readouterr().out, report_schema)
         for row in report["results"]:
-            assert row["method"] == "probe"
-            assert row["passed"]
+            assert row["method"] == "dense"
+            assert row["note"] == "exact full-matrix Frobenius norm at n=13"
+            assert row["passed"] and row["residual"] <= 1e-15
 
-    def test_anisotropy_injection_on_probe_path(self, tmp_path, capsys, report_schema):
-        spec = write_spec(
-            tmp_path,
-            HamiltonianSpec(13, 1.0, tuple(CouplingEdge(i, i + 1, 1.0) for i in range(1, 13))),
-        )
-        assert run(["conserved", spec, "--debug-anisotropy", "2.0", "--json"]) == EXIT_CHECK_FAILED
+    def test_anisotropy_injection_above_dense_cap(self, tmp_path, capsys, report_schema):
+        spec = chain_spec(13)
+        path = write_spec(tmp_path, spec)
+        assert run(["conserved", path, "--debug-anisotropy", "2.0", "--json"]) == EXIT_CHECK_FAILED
         report = check_report(capsys.readouterr().out, report_schema)
         failed = [r["name"] for r in report["results"] if not r["passed"]]
         assert failed == ["[H, S^2] commutator residual"]
-        assert all(r["method"] == "probe" for r in report["results"])
-
-    def test_probes_are_shared_by_the_three_pairs(self, tmp_path, capsys, monkeypatch):
-        # per probe, H x, S_z x and S^2 x once, then one more product on
-        # each side of each pair: 9 operator products, not 12.  H and S_z
-        # go through matvec, S^2 through its ladder operators
-        calls = []
-
-        def counted(op, x):
-            calls.append("matvec")
-            return matvec(op, x)
-
-        def counted_ladder(n):
-            spin_squared = total_spin_squared_ladder(n)
-
-            def product(x):
-                calls.append("S^2")
-                return spin_squared(x)
-
-            return product
-
-        monkeypatch.setattr(cli, "matvec", counted)
-        monkeypatch.setattr(cli, "total_spin_squared_ladder", counted_ladder)
-        spec = chain_spec(13)
-        assert run(["conserved", write_spec(tmp_path, spec), "--json",
-                    "--debug-anisotropy", "2"]) == EXIT_CHECK_FAILED
-        assert len(calls) == 9 * PROBE_COUNT == 27
-        assert calls.count("S^2") == 3 * PROBE_COUNT
-        rows = json.loads(capsys.readouterr().out)["results"]
-        assert rows[0]["note"].startswith(f"matrix-free probe at n=13, {PROBE_COUNT} unit vectors")
-        # a unit probe's residual is at most the 2-norm, itself at most the
-        # Frobenius norm
+        assert all(r["method"] == "dense" for r in report["results"])
         exact = commutator_norm(spec_to_kronsum(spec, 2.0), total_spin_squared_kronsum(13))
-        assert 0 < rows[1]["residual"] <= exact
+        assert report["results"][1]["residual"] == exact
 
-    def test_unallocatable_state_is_capacity_error(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, HUGE_SPEC)
-        assert run(["conserved", spec]) == EXIT_CAPACITY
-        err = capsys.readouterr().err
-        assert "state allocation failed at n=56" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("spec", [ring_spec(24), HUGE_SPEC], ids=["ring-24", "one-edge-56"])
+    def test_large_register_is_measured_without_a_state(self, tmp_path, capsys, report_schema,
+                                                        spec):
+        # 2^24 amplitudes would take 256 MB, 2^56 could not be allocated; no
+        # state is formed: the norms come from the strings, and the
+        # structural zeros read 0
+        path = write_spec(tmp_path, spec)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            assert run(["conserved", path, "--json"]) == EXIT_OK
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 100 * 2**20
+        rows = check_report(capsys.readouterr().out, report_schema)["results"]
+        assert [row["residual"] for row in rows] == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("n, stubbed", [(4, "commutator_norm"), (13, "matvec")])
-    def test_memory_error_is_capacity_error(self, tmp_path, capsys, monkeypatch, n, stubbed):
-        # the exact method below the dense cap, the probe method above it
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_memory_error_is_capacity_error(self, tmp_path, capsys, monkeypatch, n):
+        # the exact method below and above the 12-site dense cap
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, stubbed, exhausted)
+        monkeypatch.setattr(cli, "commutator_norm", exhausted)
         assert run(["conserved", write_spec(tmp_path, chain_spec(n))]) == EXIT_CAPACITY
         captured = capsys.readouterr()
         assert captured.err == (f"kronspin: error: state allocation failed at n={n} "
@@ -626,53 +606,40 @@ class TestConserved:
                                                       (13, 1.0, "1e308")])
     def test_overflowing_hamiltonian_is_capacity_error(self, tmp_path, capsys, n, strength,
                                                        z_scale):
-        # finite J and J * Z_SCALE whose sums overflow, on the dense and the
-        # probe method
+        # finite J and J * Z_SCALE whose string products sum past the double
+        # range, below and above the old 12-site dense cap
         spec = write_spec(tmp_path, chain_spec(n, strength))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(["conserved", spec, "--debug-anisotropy", z_scale, "--json"])
         assert_refused_as_overflow(capsys, code)
 
-    @pytest.mark.parametrize("n, strengths", [(3, [3e307] * 2)])
-    def test_overflowing_commutator_is_capacity_error(self, tmp_path, capsys, n, strengths):
-        # H is finite, but its products with S^2 (dense method) are not
-        edges = tuple(CouplingEdge(i, i + 1, j) for i, j in enumerate(strengths, 1))
-        spec = write_spec(tmp_path, HamiltonianSpec(n, 1.0, edges))
+    @pytest.mark.parametrize("spec", [chain_spec(3, 6e307), ONE_HUGE_EDGE],
+                             ids=["chain-3", "one-edge-13"])
+    def test_overflowing_commutator_is_capacity_error(self, tmp_path, capsys, spec):
+        # H and each product of its strings with those of S^2 are finite, but
+        # with Z_SCALE 2 the norm of [H, S^2] is not
+        path = write_spec(tmp_path, spec)
         for args in ([], ["--json"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code = run(["conserved", spec, *args])
+                code = run(["conserved", path, "--debug-anisotropy", "2", *args])
             assert_refused_as_overflow(capsys, code)
 
-    @staticmethod
-    def one_huge_edge_chain(tmp_path) -> str:
-        """The 13-site chain with J = 6e307 on edge (1, 2) and 1 elsewhere."""
-        edges = tuple(CouplingEdge(i, i + 1, 6e307 if i == 1 else 1.0) for i in range(1, 13))
-        return write_spec(tmp_path, HamiltonianSpec(13, 1.0, edges))
-
-    def test_overflowing_probe_matvec_is_capacity_error(self, tmp_path, capsys):
-        # H is finite, but with Z_SCALE 2 its product with S^2 x is not
-        spec = self.one_huge_edge_chain(tmp_path)
+    @pytest.mark.parametrize("spec, strength", [(chain_spec(3, 3e307), 3e307),
+                                                (ONE_HUGE_EDGE, 6e307)],
+                             ids=["chain-3", "one-edge-13"])
+    def test_isotropic_huge_couplings_read_exact_zeros(self, tmp_path, capsys, report_schema,
+                                                       spec, strength):
+        # the string products are finite and cancel in pairs, so every row
+        # reads 0 against the bound 1e-8 * J
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run(["conserved", spec, "--debug-anisotropy", "2"])
-        assert_refused_as_overflow(capsys, code)
-
-    def test_probe_residual_whose_square_overflows_is_measured(self, tmp_path, capsys,
-                                                               report_schema):
-        # every probe residual is finite and its norm about 1e293, but its
-        # squared entries pass the double range; the norm is rescaled, and
-        # the rows pass against the bound 1e-8 * 6e307
-        spec = self.one_huge_edge_chain(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run(["conserved", spec, "--json"])
+            code = run(["conserved", write_spec(tmp_path, spec), "--json"])
         assert code == EXIT_OK
         rows = check_report(capsys.readouterr().out, report_schema)["results"]
-        assert all(row["method"] == "probe" and row["passed"] for row in rows)
-        assert 1e292 < rows[1]["residual"] < 1e295
-        assert rows[1]["tolerance"] == CONSERVED_TOL * 6e307
+        assert [row["residual"] for row in rows] == [0.0, 0.0, 0.0]
+        assert rows[1]["tolerance"] == CONSERVED_TOL * strength
 
     def test_residual_past_the_squared_range_is_reported(self, tmp_path, capsys, report_schema):
         # [H, S^2] at J = 1e200 with Z_SCALE 2 has coefficients that square
@@ -862,8 +829,8 @@ class TestBench:
 
 
 class TestNegativeSeed:
-    """numpy's generators take no negative seed: every command that draws
-    from one refuses it before any operator is built."""
+    """numpy's generators take no negative seed: every command that takes
+    one refuses it before any operator is built."""
 
     @pytest.mark.parametrize("command", ["spectrum", "conserved", "bench"])
     def test_refused_as_usage_error(self, tmp_path, capsys, monkeypatch, command):
@@ -874,7 +841,7 @@ class TestNegativeSeed:
         if command == "spectrum":
             argv = ["spectrum", write_spec(tmp_path, chain_spec(4)), "--engine", "lanczos"]
         elif command == "conserved":
-            # past the dense cap, where the probes draw from the seed
+            # conserved draws nothing, but its --seed is still checked
             argv = ["conserved", write_spec(tmp_path, chain_spec(13))]
         else:
             argv = ["bench", "--n-list", "4"]
@@ -1019,25 +986,34 @@ class TestParser:
 
 
 class TestEdgeListOperatorsBuildNoTerms:
-    """H, S_z and S^2 are read through their plans only: these requests run
-    with KronTerm construction refused and print what they print without."""
+    """H, S_z and S^2 are read through their plans and Pauli strings only:
+    these requests run with KronTerm construction refused and print what
+    they print without."""
 
     @pytest.mark.parametrize("spec, args", [
         (ring_spec(9), ["conserved"]),
         (chain_spec(13), ["conserved"]),
         (chain_spec(7), ["spectrum"]),
         (ring_spec(8), ["spectrum", "--engine", "lanczos", "--k", "2"]),
-    ], ids=["conserved-exact-ring-9", "conserved-probe-chain-13", "spectrum-dense-chain-7",
-            "spectrum-lanczos-ring-8"])
+        (None, ["bench", "--n-list", "6", "--repeats", "1", "--json"]),
+    ], ids=["conserved-exact-ring-9", "conserved-exact-chain-13", "spectrum-dense-chain-7",
+            "spectrum-lanczos-ring-8", "bench-chain-6"])
     def test_request_runs_without_kron_terms(self, tmp_path, capsys, monkeypatch, spec, args):
-        path = write_spec(tmp_path, spec)
-        assert run(args[:1] + [path] + args[1:]) == EXIT_OK
-        expected = capsys.readouterr()
+        argv = args if spec is None else args[:1] + [write_spec(tmp_path, spec)] + args[1:]
+
+        def answer():
+            assert run(argv) == EXIT_OK
+            captured = capsys.readouterr()
+            if spec is not None:
+                return captured.out, captured.err
+            # bench times its matvecs: compare its rows without the times
+            rows = json.loads(captured.out)["results"]
+            return [{k: v for k, v in row.items() if k != "wall_seconds"} for row in rows], captured.err
+
+        expected = answer()
 
         def refuse(self):
             raise AssertionError("a KronTerm was built")
 
         monkeypatch.setattr(KronTerm, "__post_init__", refuse)
-        assert run(args[:1] + [path] + args[1:]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (expected.out, expected.err)
+        assert answer() == expected

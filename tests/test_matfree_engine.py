@@ -31,6 +31,7 @@ from kronspin.matfree_engine import (
     KronSum,
     KronTerm,
     _compile,
+    _flip_form,
     _scatter_dense,
     commutator_norm,
     lanczos_extremal,
@@ -615,11 +616,34 @@ def two_site_kronsum(rng, n: int) -> KronSum:
     return KronSum(n, tuple(t for t in op.terms if len(t.active_slots) <= 2))
 
 
+def flip_form_norm(a: KronSum, b: KronSum) -> float:
+    """Oracle for n <= 12: the Frobenius norm of ab - ba from the flip forms.
+    With a = sum_alpha c_alpha[s] x[s ^ alpha] and b = sum_beta d_beta[s]
+    x[s ^ beta], the commutator has flip mask alpha ^ beta with coefficient
+    c_alpha[s] d_beta[s ^ alpha] - d_beta[s] c_alpha[s ^ beta], summed over
+    the pairs sharing that mask; one length-2^n row per distinct mask."""
+    (masks_a, c), (masks_b, d) = _flip_form(a.plan), _flip_form(b.plan)
+    states = np.arange(a.dimension)
+    products = np.bitwise_xor.outer(masks_a, masks_b)
+    distinct, row_of = np.unique(products, return_inverse=True)
+    row_of = row_of.reshape(products.shape)
+    acc = np.zeros((distinct.size, a.dimension), dtype=np.result_type(c, d))
+    shifted = states ^ masks_a[:, None]
+    for k, beta in enumerate(masks_b):
+        term = c * d[k][shifted]
+        term -= d[k] * c[:, states ^ beta]
+        # alpha ^ beta is distinct for one beta, so no row is named twice
+        acc[row_of[:, k]] += term
+    return float(np.linalg.norm(acc))
+
+
 class TestCommutatorNorm:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_dense_commutator(self, rng, n):
+        # mixed_kronsum has terms on three sites, each factor expanding into
+        # up to four strings
         ops = [
-            two_site_kronsum(rng, n),
+            mixed_kronsum(rng, n),
             two_site_kronsum(rng, n),
             spec_to_kronsum(random_spec(rng, n), 2.0),
             total_spin_squared_kronsum(n),
@@ -631,45 +655,98 @@ class TestCommutatorNorm:
             scale = np.linalg.norm(da) * np.linalg.norm(db)
             assert abs(commutator_norm(a, b) - want) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_flip_form_oracle(self, n):
+        # nonzero norms to 1e-13 relative; the rows that vanish in exact
+        # arithmetic (every [., S_z] and [., S^2] of an isotropic or
+        # component operator) to 1e-15 h_scale.  The oracle itself rounds:
+        # on [H, S_y] at n = 12 it is 9e-14 off a rational-arithmetic
+        # reference that the string route meets exactly
+        rng = np.random.default_rng(1200 + n)
+        spec = random_spec(rng, n)
+        h_scale = max([1.0, abs(spec.mu_b0)] + [2.0 * abs(e.strength) for e in spec.couplings])
+        s_z, s_sq = total_component_kronsum("z", n), total_spin_squared_kronsum(n)
+        s_x, s_y = total_component_kronsum("x", n), total_component_kronsum("y", n)
+        for z_scale in (1.0, 0.0, 0.5, 2.0, -0.3):
+            h = spec_to_kronsum(spec, z_scale)
+            zeros = [(h, s_z), (s_z, s_sq), (s_x, s_sq), (s_y, s_sq)]
+            if z_scale == 1.0:
+                zeros.append((h, s_sq))
+            for a, b in zeros:
+                assert commutator_norm(a, b) <= 1e-15 * h_scale
+            for a, b in [(h, s_sq), (h, s_x), (h, s_y), (s_z, s_x), (s_x, s_y)]:
+                want = flip_form_norm(a, b)
+                if want > 1e-12 * h_scale:
+                    assert commutator_norm(a, b) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n, edge", [(40, (1, 2)), (40, (3, 39)), (58, (57, 58))])
+    def test_strings_past_a_single_int64_key(self, n, edge):
+        # one anisotropic edge without a field: [H, S^2] is a sum over the
+        # n - 2 other sites c of orthogonal strings on (i, j, c), so its
+        # squared norm grows as (n - 2) 2^n
+        def norm_at(sites, op_norm):
+            spec = HamiltonianSpec(sites, 0.0, (CouplingEdge(*edge if sites == n else (1, 2), 0.9),))
+            return op_norm(spec_to_kronsum(spec, 2.0), total_spin_squared_kronsum(sites))
+
+        unit = norm_at(8, flip_form_norm) / math.sqrt(6 * 2.0 ** 6)
+        got = norm_at(n, commutator_norm)
+        assert got == pytest.approx(unit * math.sqrt((n - 2) * 2.0 ** (n - 2)), rel=1e-15)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_flip_form_reproduces_matvec(self, rng, n):
+        # the oracle's own check
         states = np.arange(1 << n)
         for op in (two_site_kronsum(rng, n), spec_to_kronsum(random_spec(rng, n))):
-            form = op.flip_form
-            assert form is op.flip_form
-            assert form.masks[0] == 0
-            assert len(set(form.masks.tolist())) == form.masks.size
-            assert form.coefficients.dtype == (np.float64 if op.plan.real else np.complex128)
+            masks, coefficients = _flip_form(op.plan)
+            assert masks[0] == 0
+            assert len(set(masks.tolist())) == masks.size
+            assert coefficients.dtype == (np.float64 if op.plan.real else np.complex128)
             x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-            y = sum(row * x[states ^ mask] for mask, row in zip(form.masks, form.coefficients))
+            y = sum(row * x[states ^ mask] for mask, row in zip(masks, coefficients))
             assert np.max(np.abs(y - matvec(op, x))) < 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_exchange_edge_is_one_flip_mask(self):
         # both flip-flop moves of edge (1, 3) flip bits 2 and 0
         op = spec_to_kronsum(HamiltonianSpec(3, 0.4, (CouplingEdge(1, 3, -0.75),)))
-        assert op.flip_form.masks.tolist() == [0, 0b101]
-        assert op.flip_form.coefficients[1].tolist() == [0, -1.5, 0, -1.5, -1.5, 0, -1.5, 0]
+        masks, coefficients = _flip_form(op.plan)
+        assert masks.tolist() == [0, 0b101]
+        assert coefficients[1].tolist() == [0, -1.5, 0, -1.5, -1.5, 0, -1.5, 0]
 
-    def test_three_site_term_is_contract_error(self, rng):
-        op = mixed_kronsum(rng, 3)
-        s_sq = total_spin_squared_kronsum(3)
-        with pytest.raises(ContractError, match="three or more"):
-            commutator_norm(op, s_sq)
-        with pytest.raises(ContractError, match="three or more"):
-            commutator_norm(s_sq, op)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exchange_strings_match_the_expanded_terms(self, rng, n):
+        # the strings an ExchangeSum writes from its edges are those its
+        # KronTerms expand into, in the same order
+        for op in (spec_to_kronsum(random_spec(rng, n), 0.5), total_spin_squared_kronsum(n),
+                   total_component_kronsum("z", n)):
+            written = op.pauli_strings
+            expanded = KronSum.pauli_strings.func(op)
+            for got, want in zip(written, expanded):
+                assert got.tolist() == want.tolist()
+            assert not any(a.flags.writeable for a in written)
+            assert len(written[2]) == len(op.terms)
 
     def test_site_count_mismatch_is_contract_error(self):
         with pytest.raises(ContractError):
             commutator_norm(total_spin_squared_kronsum(3), total_spin_squared_kronsum(4))
 
-    def test_products_past_the_double_range_are_sizing_error(self):
-        # H is finite at J = 3e307, but its coefficients times those of S^2
-        # are not
-        h = spec_to_kronsum(chain_spec(3, j=3e307))
+    def test_strings_past_int64_masks_are_sizing_error(self):
+        # site 1 of 64 is bit 63, the sign bit of an int64 mask; at 63 sites
+        # [S_x, S_z] is -i/2 Y on each site, n orthogonal strings
+        s_x, s_z = total_component_kronsum("x", 63), total_component_kronsum("z", 63)
+        assert commutator_norm(s_x, s_z) == pytest.approx(2.0 ** 31.5 * math.sqrt(63) / 2)
+        op = total_component_kronsum("x", 64)
+        with pytest.raises(SizingError, match="int64"):
+            commutator_norm(op, op)
+
+    def test_norm_past_the_double_range_is_sizing_error(self):
+        # each string product is finite on the 13-site chain with J = 6e307
+        # on edge (1, 2) at Z_SCALE 2, but the norm of [H, S^2] is not
+        edges = tuple(CouplingEdge(i, i + 1, 6e307 if i == 1 else 1.0) for i in range(1, 13))
+        h = spec_to_kronsum(HamiltonianSpec(13, 1.0, edges), 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SizingError, match="past the double range"):
-                commutator_norm(h, total_spin_squared_kronsum(3))
+                commutator_norm(h, total_spin_squared_kronsum(13))
 
     def test_norm_past_the_squared_range_is_rescaled(self):
         # coefficients near 1e200 square past the double range; the norm of
@@ -899,7 +976,8 @@ class TestExchangeSum:
 
     def test_equality_hash_and_repr_build_no_terms(self, monkeypatch):
         # operators and their plans compare and hash by identity; the repr of
-        # an ExchangeSum is its edge list
+        # an ExchangeSum is its edge list, and its commutator norms read the
+        # strings it writes from that list
         y = total_component_kronsum("y", 2)
         y_terms = y.terms
 
@@ -909,8 +987,7 @@ class TestExchangeSum:
         monkeypatch.setattr(KronTerm, "__post_init__", refuse)
         s_sq, again = total_spin_squared_kronsum(4), total_spin_squared_kronsum(4)
         h = spec_to_kronsum(chain_spec(3, mu_b0=0.5))
-        for first, second in [(s_sq, again), (s_sq.plan, again.plan),
-                              (s_sq.flip_form, again.flip_form), (y, KronSum(2, y_terms)),
+        for first, second in [(s_sq, again), (s_sq.plan, again.plan), (y, KronSum(2, y_terms)),
                               (y_terms[0], y.terms[1])]:
             assert first == first and first != second
             assert hash(first) == hash(first)
@@ -920,7 +997,8 @@ class TestExchangeSum:
         assert repr(s_sq).startswith("ExchangeSum(n_sites=4, zeeman=None, "
                                      "edges=((1, 2, 0.5, 0.5), ")
         assert repr(s_sq).endswith(", (3, 4, 0.5, 0.5)), constant=3.0)")
-        assert "terms" not in vars(h) and "terms" not in vars(s_sq)
+        assert commutator_norm(s_sq, again) == 0.0
+        assert "terms" not in vars(h) and "terms" not in vars(s_sq) and "terms" not in vars(again)
 
     def test_overflowing_sums_are_refused_by_the_plan(self):
         # finite couplings whose zz diagonal and flip-flop weight 2J overflow
