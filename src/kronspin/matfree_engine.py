@@ -68,29 +68,37 @@ by ``_write_plan`` with no term built, and S_z (S_z + 1) is one diagonal, so
 S^2 x is 2n slab updates and a diagonal pass.  Its columns are the dense
 S^2's bitwise.
 
-``lanczos_extremal`` finds extremal eigenvalues using only matvec.  Its
-seed fixes every random vector of a solve, in order: the Hermitian check's
-probe pairs, then the start vector, then any fresh vectors, each drawn by
-``_draw`` in the solve's dtype.  (Real-plan streams changed when their
-probes stopped drawing an imaginary part only to drop it; complex-plan
-streams did not.)  For a real plan the start vector, the Krylov basis and
-the projections are float64 (a real symmetric operator has a real
-orthonormal eigenbasis); otherwise they are complex128.  Each new vector
-op q is first projected off the last two rows of the stored basis B (the
-three-term Lanczos step), then orthogonalized against the whole of B
-(no ghost eigenvalues at desk scale) by one classical Gram-Schmidt pass,
-which only mops up rounding and a restart's couplings to the kept Ritz
-vectors.  The DGKS rule guards that pass: a second one runs only when it
-leaves less than 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart,
-Math. Comp. 30:772, 1976: "twice is enough").  The coefficients of the
-three projections, summed, are a column of the Ritz matrix B^H op B, which
-therefore stays exact whatever B holds, so one step extends the search
-space in every case: compress B to chosen Ritz vectors, then continue from
-the residual when the fixed-size basis is full (thick restart, Wu & Simon,
-SIAM J. Matrix Anal. Appl. 22:602, 2000), or from a fresh random vector
-after an invariant subspace and, for k > 1, in verification passes that
-keep the converged k and target k + 1 until the first k stop moving, so
-degenerate extremal eigenvalues are reported with their multiplicity.
+``lanczos_extremal`` finds extremal eigenvalues using only matvec.  It
+first checks that the operator is Hermitian, exactly, from its Pauli
+strings: (X^x Z^z)^H = (-1)^parity(x & z) X^x Z^z, so with equal strings
+merged the coefficient of each even string must be real and that of each
+odd one imaginary.  The check draws nothing, so the seed fixes every random
+vector of a solve in order: the start vector, then any fresh vectors, each
+drawn by ``_draw`` in the solve's dtype.  For a real plan the start
+vector, the Krylov basis and the projections are float64 (a real symmetric
+operator has a real orthonormal eigenbasis); otherwise they are
+complex128.  Each new vector op q is first projected off the last two rows
+of the stored basis B (the three-term Lanczos step).  Where
+orthogonality to the rest of B is at risk, one classical Gram-Schmidt pass
+over the whole of B follows (no ghost eigenvalues at desk scale): on the
+first step from a fresh vector or a thick restart, whose couplings to the
+kept rows are real coefficients, and on every step when k > 1, whose
+verification passes keep vectors coupled at residual size.  A k = 1 solve
+skips the pass on its other steps, as in selective reorthogonalization
+(Simon, Math. Comp. 42:115, 1984), but measures the overlaps with B instead
+of estimating them: on each Ritz-check step, and once one passes
+min(1e-12, 1e-4 tol) times the vector's norm the pass is finished from
+them and made on every step up to the next restart.  The DGKS rule guards
+each pass: a second one runs only when it leaves less than 1/sqrt(2) of the
+norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30:772, 1976: "twice is
+enough").  The coefficients of the projections, summed, are a column of
+the Ritz matrix B^H op B, so one step extends the search space in every
+case: compress B to chosen Ritz vectors, then continue from the residual
+when the fixed-size basis is full (thick restart, Wu & Simon, SIAM J.
+Matrix Anal. Appl. 22:602, 2000), or from a fresh random vector after an
+invariant subspace and, for k > 1, in verification passes that keep the
+converged k and target k + 1 until the first k stop moving, so degenerate
+extremal eigenvalues are reported with their multiplicity.
 """
 
 from __future__ import annotations
@@ -277,18 +285,25 @@ class MatvecPlan:
         line of float64); otherwise it moves the slab's longest axis last,
         so the matvec's inner loop runs along it rather than over runs of
         1-4 amplitudes, the other axes keeping their order."""
-        sweeps = []
-        for shape, dst, src, weight, _ in self.moves:
-            # the slab view keeps every other axis of the reshaped state;
-            # of equal lengths the later (smaller stride) axis is longest
-            lengths = shape[::2]
-            order = range(len(lengths))
-            longest = max(order, key=lambda a: (lengths[a], a))
-            axes = None
-            if lengths[-1] < 8 and longest != order[-1]:
-                axes = tuple(a for a in order if a != longest) + (longest,)
-            sweeps.append((shape, dst, src, weight, axes))
-        return tuple(sweeps)
+        # the slab view keeps every other axis of the reshaped state
+        return tuple((shape, dst, src, weight, _long_axis_last(shape[::2], 8))
+                     for shape, dst, src, weight, _ in self.moves)
+
+
+def _long_axis_last(lengths, min_run: int) -> tuple | None:
+    """The axis order that iterates a C-ordered view of these axis lengths
+    along its longest axis, or None when its last axis runs over ``min_run``
+    or more amplitudes or is longest already.  Of equal lengths the later
+    (smaller stride) axis counts as longest; the other axes keep their
+    order."""
+    if lengths[-1] >= min_run:
+        return None
+    order = range(len(lengths))
+    # max keeps the first of equal keys, so the later axis of equal lengths
+    longest = max(reversed(order), key=lengths.__getitem__)
+    if longest == order[-1]:
+        return None
+    return tuple(a for a in order if a != longest) + (longest,)
 
 
 def _slab_shape(slots, n: int) -> tuple[int, ...]:
@@ -368,8 +383,10 @@ def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
     """The one writer of a ``MatvecPlan``.  Each site set ``(slots, on_slab,
     entries)`` in turn adds ``on_slab`` to the diagonal over its slab and
     emits each ``(dst, src, weight)`` entry as a move, masking the slots'
-    bits where dst and src differ.  Raises SizingError when a diagonal entry
-    or a move weight is past the double range."""
+    bits where dst and src differ.  ``on_slab`` has one axis per axis of the
+    slab shape, or is a scalar when it is zero or ``slots`` is empty.  Raises
+    SizingError when a diagonal entry or a move weight is past the double
+    range."""
     # zeros plus each slab, not np.full: numpy takes zeroed memory from
     # calloc, which maps a large array afresh; np.full's malloc'd array
     # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB.  Real
@@ -380,13 +397,28 @@ def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
     moves = []
     for slots, on_slab, entries in site_sets:
         shape = _slab_shape(slots, n)
-        part = real.reshape(shape)
-        part += on_slab.real
-        if np.iscomplexobj(on_slab) and on_slab.imag.any():
+        # an add whose runs hold 1 or 2 amplitudes goes along the slab's
+        # longest axis, as the moves do; with runs of 4 that took 90 us
+        # against 39 us as is (n = 15, best of 50).  An all-zero part (a
+        # ladder plan's, an XX edge's) is skipped, which changes no bit: no
+        # entry is ever -0.0
+        axes = _long_axis_last(shape, 4)
+        on_slab = np.asarray(on_slab)
+        parts = [(real, on_slab.real)]
+        if np.iscomplexobj(on_slab) and np.count_nonzero(on_slab.imag):
             if imag is None:
                 imag = np.zeros(1 << n)
-            part = imag.reshape(shape)
-            part += on_slab.imag
+            parts.append((imag, on_slab.imag))
+        for diagonal, value in parts:
+            if not np.count_nonzero(value):
+                continue
+            part = diagonal.reshape(shape)
+            if axes:
+                part, value = part.transpose(axes), value.transpose(axes)
+                # order="C" keeps the axis order given
+                np.add(part, value, out=part, order="C")
+            else:
+                part += value
         for dst, src, weight in entries:
             mask = 0
             for slot, out_bit, in_bit in zip(slots, dst[1::2], src[1::2]):
@@ -563,6 +595,33 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _sum_strings(x: np.ndarray, z: np.ndarray, c: np.ndarray) -> tuple:
+    """Merge equal strings of ``sum_r c[r] X^x[r] Z^z[r]``: the distinct
+    (x, z), in ascending order, and the real and imaginary parts of each one's
+    summed coefficient.  ``np.bincount`` adds each string's coefficients in
+    order of |c|, and those of equal |c| in rounds that take one of each
+    distinct value, so c and -c meet in adjacent pairs: a structural zero
+    sums to exactly 0.0, and equal terms of opposite sign cancel before
+    their partial sum can pass the double range (reduceat's pairwise sums
+    leave rounding there, and all of one sign first can overflow)."""
+    magnitude = np.abs(c)
+    order = np.lexsort((c.imag, c.real, magnitude, z, x))
+    x, z, c, magnitude = x[order], z[order], c[order], magnitude[order]
+    # x and z are non-negative, so the first entry always starts a string
+    starts = (np.diff(x, prepend=-1) != 0) | (np.diff(z, prepend=-1) != 0)
+    # each coefficient's rank among the equal ones of its string, and the
+    # run of equal |c| it sits in: a stable sort by run, then rank
+    index = np.arange(c.size)
+    same, new_run = ~starts, starts.copy()
+    same[1:] &= c[1:] == c[:-1]
+    new_run[1:] |= magnitude[1:] != magnitude[:-1]
+    rank = index - np.maximum.accumulate(np.where(same, 0, index))
+    order = np.argsort(np.cumsum(new_run) * c.size + rank, kind="stable")
+    string = np.cumsum(starts) - 1
+    sums = [np.bincount(string, weights=part[order]) for part in (c.real, c.imag)]
+    return x[starts], z[starts], *sums
+
+
 def commutator_norm(a: KronSum, b: KronSum) -> float:
     """Exact Frobenius norm of ab - ba, read from the Pauli strings without
     any length-2^n array.
@@ -570,12 +629,13 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     Z^z X^x = (-1)^parity(z & x) X^x Z^z, so P = X^xa Z^za and Q = X^xb Z^zb
     anticommute when parity(za & xb) != parity(zb & xa), and then [P, Q] =
     2 PQ = +-2 X^(xa ^ xb) Z^(za ^ zb), of sign (-1)^parity(za & xb);
-    otherwise they commute.  The products are summed per string and, the
-    strings being orthogonal with squared norm 2^n, the norm is 2^(n/2)
-    times that of the sums.  Work and memory are one product per pair of
-    strings.  Raises ContractError when the site counts differ and
-    SizingError past 63 sites, whose strings do not fit int64 bit masks, or
-    when a product, a sum or the norm is past the double range.
+    otherwise they commute.  The products are summed per string
+    (``_sum_strings``) and, the strings being orthogonal with squared norm
+    2^n, the norm is 2^(n/2) times that of the sums.  Work and memory are
+    one product per pair of strings.  Raises ContractError when the site
+    counts differ and SizingError past 63 sites, whose strings do not fit
+    int64 bit masks, or when a product, a sum or the norm is past the double
+    range.
     """
     if a.n_sites != b.n_sites:
         raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
@@ -585,20 +645,11 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     xb, zb, cb = b.pauli_strings
     flipped = _parity(za[:, None] & xb)
     i, j = np.nonzero(flipped != _parity(xa[:, None] & zb))
-    x, z = xa[i] ^ xb[j], za[i] ^ zb[j]
     # an overflow leaves an inf or NaN in the sums, and so in the norm
     with np.errstate(over="ignore", invalid="ignore"):
         # ca cb (+-2), not +-2 ca cb, which overflows on 1e308 * 0.5
         c = ca[i] * cb[j] * np.where(flipped[i, j], -2.0, 2.0)
-        # by string, then |c|, then c: bincount adds each string's products
-        # in that order, so contributions that cancel meet in pairs and a
-        # structural zero sums to exactly 0.0 (reduceat's pairwise sums
-        # leave rounding there)
-        order = np.lexsort((c.imag, c.real, np.abs(c), z, x))
-        x, z, c = x[order], z[order], c[order]
-        # x and z are non-negative, so the first pair always starts a string
-        string = np.cumsum((np.diff(x, prepend=-1) != 0) | (np.diff(z, prepend=-1) != 0)) - 1
-        sums = [np.bincount(string, weights=part) for part in (c.real, c.imag)]
+        sums = _sum_strings(xa[i] ^ xb[j], za[i] ^ zb[j], c)[2:]
         norm = frobenius(sums) * 2.0 ** (a.n_sites / 2)
     if not math.isfinite(norm):
         raise SizingError(f"the commutator of two {a.n_sites}-site operators has a coefficient "
@@ -791,9 +842,8 @@ def total_spin_squared(n: int) -> np.ndarray:
     return _scatter_dense(total_spin_squared_kronsum(n).plan)
 
 
-# probe pairs the Hermitian sample check draws, and its relative tolerance
-_SAMPLE_PAIRS = 2
-_SAMPLE_RTOL = 1e-8
+# relative tolerance of the Hermitian check
+_HERMITIAN_RTOL = 1e-8
 
 
 def _draw(rng, dim: int, real: bool) -> np.ndarray:
@@ -803,26 +853,73 @@ def _draw(rng, dim: int, real: bool) -> np.ndarray:
     return x if real else x + 1j * rng.standard_normal(dim)
 
 
-def _hermitian_sample_check(op: KronSum, rng) -> None:
-    """<x, op y> == conj(<y, op x>) on random probe pairs.  A real plan gets
-    float64 probes, so its matvecs stay float64: for a real matrix, x^T A y
-    == y^T A x on random real x, y is the whole symmetry condition.  Any
-    other plan gets complex probes."""
-    for _ in range(_SAMPLE_PAIRS):
-        x = _draw(rng, op.dimension, op.plan.real)
-        y = _draw(rng, op.dimension, op.plan.real)
-        lhs = np.vdot(x, matvec(op, y))
-        rhs = np.conj(np.vdot(y, matvec(op, x)))
-        if abs(lhs - rhs) > _SAMPLE_RTOL * max(1.0, abs(lhs), abs(rhs)):
-            raise ContractError(
-                f"operator fails the Hermitian sample check: <x, Ay> = {lhs:.6e} "
-                f"but conj(<y, Ax>) = {rhs:.6e}"
-            )
+def _check_hermitian(op: KronSum) -> None:
+    """ContractError unless op is Hermitian, read exactly from its Pauli
+    strings.  (X^x Z^z)^H = Z^z X^x = (-1)^parity(x & z) X^x Z^z, so with the
+    equal strings merged, the anti-Hermitian part (op - op^H) / 2 has
+    coefficient i Im c on each string of even parity and Re c on each odd
+    one.  Refused when its norm passes _HERMITIAN_RTOL times that of op (the
+    string norms are the Frobenius norms over 2^(n/2)).  No vector of length
+    2^n is formed and no draw is made."""
+    x, z, re, im = _sum_strings(*op.pauli_strings)
+    anti = frobenius(np.where(_parity(x & z), re, im))
+    whole = frobenius([re, im])
+    if anti > _HERMITIAN_RTOL * whole:
+        raise ContractError(
+            f"operator is not Hermitian: its anti-Hermitian part has Frobenius norm "
+            f"{anti:.6e} times 2^(n/2), against {whole:.6e} for the whole"
+        )
+
+
+def _overlaps(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """conj(rows) @ vec, computed as conj(rows @ conj(vec)) without copying
+    the rows; on float64 arrays both conj calls are the identity."""
+    return np.conj(rows @ vec.conj())
+
+
+def _project(rows: np.ndarray, vec: np.ndarray, coeffs=None) -> np.ndarray:
+    """Project ``vec`` (updated in place) off ``rows``; return the
+    coefficients, measured here unless given."""
+    if coeffs is None:
+        coeffs = _overlaps(rows, vec)
+    vec -= rows.T @ coeffs
+    return coeffs
 
 
 # DGKS reorthogonalization threshold: a second Gram-Schmidt pass runs when
 # the first leaves less than this fraction of the vector's norm
 _DGKS_ETA = 1 / math.sqrt(2)
+
+
+def _orthogonalize(rows: np.ndarray, vec: np.ndarray, coeffs=None) -> tuple:
+    """One classical Gram-Schmidt pass of ``vec`` (updated in place) off
+    ``rows``, from the given overlaps if measured already, repeated under the
+    DGKS rule; return the summed coefficients and the remaining norm."""
+    before = float(np.linalg.norm(vec))
+    coeffs = _project(rows, vec, coeffs)
+    after = float(np.linalg.norm(vec))
+    if after < _DGKS_ETA * before:
+        # the pass cancelled most of the norm, so its rounding error is
+        # large relative to what is left: one more pass restores
+        # orthogonality to working precision
+        coeffs += _project(rows, vec)
+        after = float(np.linalg.norm(vec))
+    return coeffs, after
+
+
+def _loss_bound(k: int, tol: float) -> float | None:
+    """The largest overlap with the basis, relative to ||w||, that a Lanczos
+    step may leave in w, or None when every step makes the full pass.
+
+    k > 1 makes every pass: its verification passes lock vectors whose
+    couplings are of residual size, and Simon's omega-recurrence (Math.
+    Comp. 42:115, 1984) underestimated the loss after its thick restarts
+    (at most 1e-10 estimated against 0.26 reached with k = 8 on a 12-site
+    ring).  For k = 1 the bound scales with tol: at a fixed 1e-12, most
+    solves at tol 1e-12 and 1e-13 spent their budget."""
+    return min(1e-12, 1e-4 * tol) if k == 1 else None
+
+
 # Krylov basis rows held at once (32 float64 rows at n = 20 take 256 MB); a
 # full basis restarts keeping the wanted Ritz vectors plus _RESTART_MARGIN.
 # In a sweep of 16 to 96 rows over n = 12-20 and k <= 8, 32 is the smallest
@@ -838,8 +935,13 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     """k extremal eigenvalues of a Hermitian KronSum via thick-restart Lanczos.
 
     Each step projects op q off the last two basis rows, then makes one full
-    Gram-Schmidt pass, repeated under the DGKS rule; the Ritz matrix is
-    built from the summed coefficients.  The basis holds at most
+    Gram-Schmidt pass, repeated under the DGKS rule, where orthogonality is
+    at risk: on the first step from a fresh vector or a restart and on every
+    step when k > 1.  A k = 1 solve measures its overlaps with the basis on
+    each Ritz-check step (every fifth) instead, and once one passes
+    min(1e-12, 1e-4 tol) times the vector's norm it finishes the pass from
+    them and makes the pass on every step to the next restart.  The Ritz
+    matrix is built from the summed coefficients.  The basis holds at most
     max(32, 3k) vectors, float64 when the operator's plan is real (every
     spec Hamiltonian, S_z and S^2) and complex128 otherwise; a full basis
     keeps the wanted Ritz vectors plus a margin and continues from the
@@ -853,18 +955,19 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
 
     ``max_iter`` bounds the Lanczos steps (one matvec each) of the first
     pass and, separately, of each verification pass; the default is
-    max(300, 3k).  Deterministic for a fixed seed, which fixes the Hermitian
-    check's probes, then the start vector, then any fresh vectors, each
-    drawn in the solve's dtype (float64 for a real plan; real-plan streams
-    changed when the probes stopped drawing a dropped imaginary part).
-    Raises ConvergenceError (carrying the best estimates, its message naming
-    the first pass or verification pass p of k) when a budget runs out,
-    ContractError if the operator fails a random-vector Hermitian check, and
-    up front, before any draw, ContractError when ``which`` is neither
-    'lowest' nor 'highest', ``k`` or ``max_iter`` is not an integer,
-    ``seed`` not a non-negative one (Python or numpy integers; a bool is
-    refused) or ``tol`` not finite and positive and SizingError when twice
-    the plan's ``norm_bound``, squared, is past the double range.
+    max(300, 3k).  Deterministic for a fixed seed, which fixes the start
+    vector, then any fresh vectors, each drawn in the solve's dtype
+    (float64 for a real plan); seeded streams changed when the start vector
+    became the first draw.  Raises ConvergenceError (carrying the best
+    estimates, its message naming the first pass or verification pass p of
+    k) when a budget runs out, and up front, before any draw or matvec,
+    ContractError when ``which`` is neither 'lowest' nor 'highest', ``k`` or
+    ``max_iter`` is not an integer, ``seed`` not a non-negative one (Python
+    or numpy integers; a bool is refused) or ``tol`` not finite and
+    positive, SizingError when twice the plan's ``norm_bound``, squared, is
+    past the double range, and ContractError when the operator is not
+    Hermitian: the Frobenius norm of its anti-Hermitian part, read exactly
+    from its Pauli strings, passes 1e-8 times that of the operator.
     """
     if which not in ("lowest", "highest"):
         raise ContractError(f"which must be 'lowest' or 'highest', got {which!r}")
@@ -895,8 +998,8 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
             f"the operator's norm bound {bound:.3e} is too large for Lanczos: the squared "
             "norms of its vectors would be past the double range"
         )
+    _check_hermitian(op)
     rng = np.random.default_rng(seed)
-    _hermitian_sample_check(op, rng)
 
     real = op.plan.real
     dtype = np.float64 if real else np.complex128
@@ -908,29 +1011,6 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     basis = np.empty((rows, dim), dtype)
     # upper triangle of tmat[:m, :m] is basis[:m]^H op basis[:m]
     tmat = np.zeros((rows, rows), dtype)
-
-    def project(vec, rows):
-        """Project ``vec`` (updated in place) off basis[rows]; return the
-        coefficients."""
-        # conj(rows @ conj(vec)) is conj(rows) @ vec without copying the
-        # rows; on float64 arrays both conj calls are the identity
-        coeffs = np.conj(basis[rows] @ vec.conj())
-        vec -= basis[rows].T @ coeffs
-        return coeffs
-
-    def orthogonalize(vec, m):
-        """Project ``vec`` (updated in place) off basis[:m]; return the summed
-        coefficients and the remaining norm."""
-        before = float(np.linalg.norm(vec))
-        coeffs = project(vec, slice(m))
-        after = float(np.linalg.norm(vec))
-        if after < _DGKS_ETA * before:
-            # the pass cancelled most of the norm, so its rounding error is
-            # large relative to what is left: one more pass restores
-            # orthogonality to working precision
-            coeffs += project(vec, slice(m))
-            after = float(np.linalg.norm(vec))
-        return coeffs, after
 
     def ritz_pairs(idx):
         vectors = svec[:, idx].T @ basis[:m]
@@ -947,13 +1027,17 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         """Write a seeded random vector, orthonormalized against basis[:m],
         into basis[m]."""
         q = _draw(rng, dim, real)
-        np.divide(q, orthogonalize(q, m)[1], out=basis[m])
+        np.divide(q, _orthogonalize(basis[:m], q)[1], out=basis[m])
 
+    loss_bound = _loss_bound(k, tol)
     norm_est = 0.0
     accepted = None  # (values, vectors) last certified, from the extremal end
     passes = 0  # verification passes started
     want = k
     m = spent = 0
+    # whether the next step makes the full Gram-Schmidt pass, and whether
+    # every step does until the next restart
+    full, always_full = True, loss_bound is None
     fresh()
     while True:
         w = matvec(op, basis[m])
@@ -961,12 +1045,25 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
         spent += 1
         # the three-term step: w loses its large alpha q and beta q_prev
         # parts to the last two rows first, so the full pass only mops up
-        # rounding (and, after a restart, the couplings to the kept Ritz
-        # vectors) and DGKS rarely asks for a second pass.  A slice, not a
-        # view, so that no name keeps the basis alive past its del
+        # rounding (and, after a fresh vector or a restart, the couplings to
+        # the kept rows) and DGKS rarely asks for a second pass.  A slice,
+        # not a view, so that no name keeps the basis alive past its del
         last = slice(max(m - 2, 0), m)
-        near = project(w, last)
-        coeffs, beta = orthogonalize(w, m)
+        near = _project(basis[last], w)
+        if full:
+            coeffs, beta = _orthogonalize(basis[:m], w)
+        else:
+            # the other overlaps are rounding until the Ritz value nears
+            # convergence; measured on the Ritz-check cadence, and once
+            # one passes the bound the pass is finished from them
+            coeffs = np.zeros(m, dtype)
+            beta = float(np.linalg.norm(w))
+            if spent % 5 == 0:
+                overlaps = _overlaps(basis[:m], w)
+                if np.max(np.abs(overlaps)) > loss_bound * beta:
+                    coeffs, beta = _orthogonalize(basis[:m], w, overlaps)
+                    always_full = True
+        full = always_full
         coeffs[last] += near
         tmat[:m, m - 1] = coeffs
         invariant = m == dim or beta <= 1e-13 * max(norm_est, 1.0)
@@ -1004,9 +1101,11 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
                 )
         if m == rows:
             m = compress(*ritz_pairs(order[: min(want + _RESTART_MARGIN, rows // 2)]))
+            full, always_full = True, loss_bound is None
         if invariant:
             # the complement of an invariant subspace is invariant too
             fresh()
+            full = True
         else:
             # normalized straight into the next basis row
             np.divide(w, beta, out=basis[m])

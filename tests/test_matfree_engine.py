@@ -351,16 +351,16 @@ class TestCompiledPlan:
                 KronSum(n, tuple(terms)).plan
 
 
+def adjoint(term: KronTerm) -> KronTerm:
+    return KronTerm(np.conj(term.coefficient),
+                    tuple(None if f is None else f.conj().T for f in term.factors))
+
+
 def hermitian_kronsum(rng, n: int) -> KronSum:
     """mixed_kronsum plus the adjoint of every term: Hermitian, with complex
     coefficients and entries and terms on three sites."""
     op = mixed_kronsum(rng, n)
-    adjoints = [
-        KronTerm(np.conj(t.coefficient),
-                 tuple(None if f is None else f.conj().T for f in t.factors))
-        for t in op.terms
-    ]
-    return KronSum(n, op.terms + tuple(adjoints))
+    return KronSum(n, op.terms + tuple(map(adjoint, op.terms)))
 
 
 class TestRealPlan:
@@ -899,6 +899,23 @@ class TestExchangePlan:
                 assert isinstance(op, ExchangeSum)
                 assert_plans_bitwise_equal(op.plan, _compile(op))
 
+    @pytest.mark.parametrize("z_scale", [1.0, 0.0, 2.0])
+    def test_diagonal_equals_broadcast_adds_bitwise(self, z_scale):
+        # the reference adds each site set's signs over the whole state in
+        # one broadcast, in plan order, zeros included; the writer's adds
+        # along a slab's longest axis and its skipped zero slabs (every edge
+        # at z_scale 0) leave the same bits
+        rng = np.random.default_rng(7171)
+        for n in range(1, 17):
+            op = spec_to_kronsum(random_spec(rng, n), z_scale)
+            want = np.zeros(1 << n)
+            for k in range(n):
+                want.reshape(1 << k, 2, -1)[...] += op.zeeman * np.array([1.0, -1.0])[:, None]
+            for i, j, _, j_z in op.edges:
+                signs = j_z * np.array([1.0, -1.0, -1.0, 1.0]).reshape(2, 1, 2, 1)
+                want.reshape(1 << (i - 1), 2, 1 << (j - i - 1), 2, -1)[...] += signs
+            assert op.plan.diagonal.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_spin_squared_plan_equals_compiled_terms_bitwise(self, n):
         op = total_spin_squared_kronsum(n)
@@ -1123,25 +1140,25 @@ class TestLanczos:
             lanczos_extremal(spec_to_kronsum(chain_spec(3)), k=3, max_iter=2)
 
     @staticmethod
-    def refuse_sampling(monkeypatch):
+    def refuse_hermitian_check(monkeypatch):
         def refuse(*args):
-            raise AssertionError("the Hermitian sample check drew probes")
+            raise AssertionError("the Hermitian check ran")
 
-        monkeypatch.setattr(matfree_engine, "_hermitian_sample_check", refuse)
+        monkeypatch.setattr(matfree_engine, "_check_hermitian", refuse)
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
     def test_tol_must_be_finite_positive(self, monkeypatch, tol):
         # tols that judge nothing: inf accepts an early Ritz value (-15.97 on
         # this chain, whose ground energy is -21.44), and no residual meets
         # nan, 0 or -1, so the run would spend all 300 steps
-        self.refuse_sampling(monkeypatch)
+        self.refuse_hermitian_check(monkeypatch)
         op = spec_to_kronsum(chain_spec(12))
         with pytest.raises(ContractError, match="tol must be a finite positive number"):
             lanczos_extremal(op, tol=tol)
 
     @pytest.mark.parametrize("k", [2.0, True])
     def test_k_must_be_an_int(self, monkeypatch, k):
-        self.refuse_sampling(monkeypatch)
+        self.refuse_hermitian_check(monkeypatch)
         op = spec_to_kronsum(chain_spec(12))
         with pytest.raises(ContractError, match="k must be an integer"):
             lanczos_extremal(op, k=k)
@@ -1150,7 +1167,7 @@ class TestLanczos:
     def test_seed_must_be_a_non_negative_integer(self, monkeypatch, seed):
         # numpy takes True as seed 1 and refuses -1 and 1.5 with its own
         # ValueError and TypeError
-        self.refuse_sampling(monkeypatch)
+        self.refuse_hermitian_check(monkeypatch)
         op = spec_to_kronsum(chain_spec(6))
         with pytest.raises(ContractError, match="seed must be a non-negative integer"):
             lanczos_extremal(op, seed=seed)
@@ -1171,7 +1188,7 @@ class TestLanczos:
     def test_max_iter_must_be_an_int(self, monkeypatch, max_iter):
         # every budget test is spent == max_iter: 8.5 is never met, and a
         # tol no residual reaches would run without end
-        self.refuse_sampling(monkeypatch)
+        self.refuse_hermitian_check(monkeypatch)
         op = spec_to_kronsum(chain_spec(6))
         with pytest.raises(ContractError, match="max_iter must be an integer"):
             lanczos_extremal(op, tol=1e-30, max_iter=max_iter)
@@ -1187,28 +1204,59 @@ class TestLanczos:
             lanczos_extremal(op)
 
     def test_complex_symmetric_non_hermitian_rejected(self):
-        # i sigma_x equals its transpose but not its adjoint: real probes
-        # compared without conjugation would pass it
+        # i sigma_x equals its transpose but not its adjoint
         op = KronSum(2, (KronTerm(1j, (pauli("x"), None)),))
         assert not op.plan.real
         with pytest.raises(ContractError, match="Hermitian"):
             lanczos_extremal(op)
 
-    def test_sample_check_on_a_real_plan_stays_float64(self):
-        # float64 probes and matvecs hold about 4 rows at once; complex
-        # probes on the same plan peak near 15 rows
+    def test_non_hermitian_three_site_term_rejected(self):
+        # a Hermitian operator plus sigma_x sigma_y sigma_z times i, whose
+        # adjoint is minus itself: a fallback term, read from its strings
+        op = hermitian_kronsum(np.random.default_rng(3), 4)
+        bad = KronTerm(1j, (pauli("x"), pauli("y"), pauli("z"), None))
+        with pytest.raises(ContractError, match="Hermitian"):
+            lanczos_extremal(KronSum(4, op.terms + (bad,)))
+
+    @pytest.mark.parametrize("size, refused", [(1e-6, True), (1e-10, False)])
+    def test_hermitian_check_is_exact_to_its_tolerance(self, size, refused):
+        # an anti-Hermitian part of relative Frobenius norm `size`, measured
+        # on the dense matrix, against the check's 1e-8
+        rng = np.random.default_rng(4)
+        op = hermitian_kronsum(rng, 4)
+        # scale (B - B^H) / 2 to that share of op's norm
+        skew = mixed_kronsum(rng, 4).terms
+        b = to_dense(KronSum(4, skew))
+        scale = 0.5 * size * np.linalg.norm(to_dense(op)) / (np.linalg.norm(b - b.conj().T) / 2)
+        skewed = KronSum(4, op.terms
+                         + tuple(KronTerm(scale * t.coefficient, t.factors) for t in skew)
+                         + tuple(KronTerm(-scale * t.coefficient, t.factors)
+                                 for t in map(adjoint, skew)))
+        dense = to_dense(skewed)
+        anti = np.linalg.norm(dense - dense.conj().T) / 2
+        assert anti == pytest.approx(size * np.linalg.norm(dense), rel=1e-3)
+        if refused:
+            with pytest.raises(ContractError, match="Hermitian"):
+                matfree_engine._check_hermitian(skewed)
+        else:
+            matfree_engine._check_hermitian(skewed)
+
+    @pytest.mark.parametrize("make", [lambda n: spec_to_kronsum(ring_spec(n, 0.7)),
+                                      total_spin_squared_kronsum], ids=["ring", "spin-squared"])
+    def test_hermitian_check_holds_no_state(self, make):
+        # the strings of a 14-site operator, 56 for the ring and 274 for S^2,
+        # not a vector of 2^14 amplitudes; no plan is compiled for the check
         n = 14
-        op = spec_to_kronsum(ring_spec(n, 0.7))
-        op.plan  # compiled outside the measurement
-        peak = traced_peak(lambda: matfree_engine._hermitian_sample_check(
-            op, np.random.default_rng(3)))
-        assert peak <= 6 * (1 << n) * 8
+        op = make(n)
+        peak = traced_peak(lambda: matfree_engine._check_hermitian(op))
+        assert peak < (1 << n) * 8
+        assert "plan" not in vars(op)
 
     @pytest.mark.parametrize("real", [True, False])
-    def test_seed_fixes_probes_then_start_vector(self, monkeypatch, real):
-        # a real plan draws one float64 vector per probe, a complex plan a
-        # real and an imaginary part; the start vector is the next draw, in
-        # the solve's dtype, normalized
+    def test_seed_fixes_the_start_vector_first(self, monkeypatch, real):
+        # the first draw is the start vector, in the solve's dtype: one
+        # float64 vector on a real plan, a real and an imaginary part on a
+        # complex one; the first matvec is on it, normalized
         if real:
             op = spec_to_kronsum(chain_spec(6))
         else:
@@ -1234,17 +1282,13 @@ class TestLanczos:
         monkeypatch.setattr(matfree_engine, "matvec", counted)
         lanczos_extremal(op, k=1, seed=3)
         parts = 1 if real else 2
-        probes = 2 * matfree_engine._SAMPLE_PAIRS
-        assert sizes[: (probes + 1) * parts] == [dim] * ((probes + 1) * parts)
+        assert sizes == [dim] * parts
         replay = make(3)
-        for _ in range(probes * parts):
-            replay.standard_normal(dim)
         q = replay.standard_normal(dim)
         if not real:
             q = q + 1j * replay.standard_normal(dim)
-        start = calls[probes]  # after the sample check's two matvecs per pair
-        assert start.dtype == (np.float64 if real else np.complex128)
-        assert np.array_equal(start, q / np.linalg.norm(q))
+        assert calls[0].dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(calls[0], q / np.linalg.norm(q))
 
     def test_non_convergence_carries_estimates(self):
         op = spec_to_kronsum(chain_spec(6))
@@ -1363,6 +1407,17 @@ class TestClosedFormOracles:
         spec = xx_chain_spec(np.random.default_rng(16), 16)
         s = lanczos_extremal(spec_to_kronsum(spec, 0.0), k=4, seed=1)
         self.assert_levels(s.eigenvalues, xx_chain_levels(spec)[:4])
+
+    @pytest.mark.parametrize("which", ["lowest", "highest"])
+    def test_single_value_lanczos_past_the_dense_cap(self, which):
+        # k = 1 skips most full Gram-Schmidt passes: both ends of the XX
+        # chain and of the complete graph
+        end = 0 if which == "lowest" else -1
+        spec = xx_chain_spec(np.random.default_rng(16), 16)
+        s = lanczos_extremal(spec_to_kronsum(spec, 0.0), which=which, seed=1)
+        self.assert_levels(s.eigenvalues, xx_chain_levels(spec)[[end]])
+        s = lanczos_extremal(spec_to_kronsum(complete_graph_spec(14, 0.3, 0.9)), which=which, seed=1)
+        self.assert_levels(s.eigenvalues, complete_graph_levels(14, 0.3, 0.9)[[end]])
 
     def test_complete_graph_lanczos_keeps_a_degenerate_ground_level(self):
         # the s = 0 ground level is C(14, 7) - C(14, 6) = 429-fold degenerate,
@@ -1560,6 +1615,74 @@ class TestLanczosLocalStep:
         radius = np.max(np.abs(want))
         assert np.max(np.abs(s.eigenvalues - want[:4])) <= 1e-10 * radius
         self.check_pairs(op, s, radius)
+
+
+@pytest.fixture
+def gram_schmidt_passes(monkeypatch):
+    """The row count of each full Gram-Schmidt pass a solve makes."""
+    passes = []
+    orthogonalize = matfree_engine._orthogonalize
+
+    def counted(rows, vec, coeffs=None):
+        passes.append(rows.shape[0])
+        return orthogonalize(rows, vec, coeffs)
+
+    monkeypatch.setattr(matfree_engine, "_orthogonalize", counted)
+    return passes
+
+
+class TestLanczosSelectivePass:
+    """k = 1 makes the full Gram-Schmidt pass on the first step from a fresh
+    vector or a restart, and on every step to the next restart once a
+    Ritz-check step measures an overlap past min(1e-12, 1e-4 tol); k > 1
+    makes it on every step."""
+
+    @staticmethod
+    def full_pass_solve(monkeypatch, op, **kwargs):
+        with monkeypatch.context() as full:
+            full.setattr(matfree_engine, "_loss_bound", lambda k, tol: None)
+            return lanczos_extremal(op, **kwargs)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_matches_the_full_pass_path(self, monkeypatch, gram_schmidt_passes, n):
+        spec = random_spec(np.random.default_rng(100 + n), n)
+        full_passes = passes = 0
+        for z_scale in (1.0, 0.0, 2.0):
+            op = spec_to_kronsum(spec, z_scale)
+            for which in ("lowest", "highest"):
+                gram_schmidt_passes.clear()
+                want = self.full_pass_solve(monkeypatch, op, which=which, seed=n).eigenvalues
+                full_passes += len(gram_schmidt_passes)
+                gram_schmidt_passes.clear()
+                got = lanczos_extremal(op, which=which, seed=n).eigenvalues
+                passes += len(gram_schmidt_passes)
+                assert abs(got[0] - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+        assert passes < full_passes / 2
+
+    def test_k_above_one_makes_every_pass(self, monkeypatch, gram_schmidt_passes):
+        op = spec_to_kronsum(ring_spec(10))
+        s = lanczos_extremal(op, k=4, seed=2)
+        counted = list(gram_schmidt_passes)
+        gram_schmidt_passes.clear()
+        want = self.full_pass_solve(monkeypatch, op, k=4, seed=2)
+        assert gram_schmidt_passes == counted
+        assert np.array_equal(s.eigenvalues, want.eigenvalues)
+        assert np.array_equal(s.eigenvectors, want.eigenvectors)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    @pytest.mark.parametrize("which", ["lowest", "highest"])
+    @pytest.mark.parametrize("spec, z_scale", [(chain_spec(12), 1.0), (ring_spec(14, 0.7), 1.0),
+                                               (ring_spec(14), 1.0), (ring_spec(12, 1.0), 0.0)],
+                             ids=["chain-12", "ring-14-field", "ring-14", "xx-ring-12"])
+    def test_tight_tolerances_converge(self, spec, z_scale, which, tol):
+        # at a bound of 1e-12 whatever the tol, most of these solves spent
+        # their 300 steps: rounding in the skipped passes sits above
+        # 1e-13 of the norm
+        op = spec_to_kronsum(spec, z_scale)
+        for seed in range(4):
+            s = lanczos_extremal(op, which=which, tol=tol, seed=seed)
+            v = s.eigenvectors[:, 0]
+            assert np.linalg.norm(matvec(op, v) - s.eigenvalues[0] * v) <= tol * op.plan.norm_bound
 
 
 class TestComplexityScaling:
