@@ -51,6 +51,7 @@ from .dense_linalg import eigh
 from .hamiltonian_builder import CouplingEdge, HamiltonianSpec, build_general, load_spec
 from .kron_core import PROPERTY_NAMES, ResidualReport
 from .matfree_engine import (
+    MAX_STATE_SITES,
     KronSum,
     commutator_norm,
     lanczos_extremal,
@@ -77,10 +78,6 @@ EXIT_NO_CONVERGENCE = 5
 # commutators sum their cancelling Pauli-string products pairwise and read
 # 0.0, far below it.
 CONSERVED_TOL = 1e-8
-
-# numpy raises ValueError, not MemoryError, for an array over intp-max bytes;
-# past this size a complex128 state is refused before anything is allocated
-MAX_STATE_SITES = (np.iinfo(np.intp).max // 16).bit_length() - 1
 
 
 def _fail(message: str, code: int) -> int:

@@ -82,12 +82,17 @@ def eigh(a, want_vectors: bool = True) -> Spectrum:
     a failure to converge, or an eigenvalue is past the double range."""
     a = as_square(a)
     n = a.shape[0]
-    if frobenius(a - a.conj().T) > HERMITICITY_RTOL * max(frobenius(a), 1.0):
+    # formed once and contiguous, so neither use reads a strided view; freed
+    # before the eigensolve, whose peak it would otherwise raise
+    adjoint = np.ascontiguousarray(a.conj().T)
+    if frobenius(a - adjoint) > HERMITICITY_RTOL * max(frobenius(a), 1.0):
         raise ContractError(
             f"input is not Hermitian to {HERMITICITY_RTOL} relative tolerance"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = 0.5 * (a + a.conj().T)
+        herm = a + adjoint
+        del adjoint
+        herm *= 0.5
     if not np.isfinite(herm).all():
         raise SizingError(f"the {n}x{n} matrix plus its adjoint has an entry past the double range")
     w = herm.real if np.count_nonzero(herm.imag) == 0 else herm

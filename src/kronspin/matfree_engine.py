@@ -9,12 +9,13 @@ On first use a KronSum is compiled into a ``MatvecPlan`` kept on the
 operator: the local 2 x 2 and 4 x 4 matrices of the terms with at most two
 active sites are summed per site set, which ``_write_plan``, the one plan
 writer, turns into one length-2^n diagonal and weighted moves, refusing a
-sum past the double range; terms with three or more active sites are kept
-as they are.  A matvec is then one diagonal multiply, one strided update
-over 2^n / 2 (one site) or 2^n / 4 (two sites) amplitudes per move, and one
-pass per active site for each remaining term.  For the Zeeman-plus-exchange
-Hamiltonian that is O((1 + |E| / 2) 2^n) amplitude updates, two moves of
-weight 2J per coupling edge, independent of the number of sites per term;
+sum past the double range and a register past ``MAX_STATE_SITES``; terms
+with three or more active sites are kept as they are.  A matvec is then
+one diagonal multiply, one strided update over 2^n / 2 (one site) or
+2^n / 4 (two sites) amplitudes per move, and one pass per active site for
+each remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
+O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per
+coupling edge, independent of the number of sites per term;
 scratch is one length-2^n vector beside the result (three when a term spans
 three sites).
 When every move has one weight (uniform chains and rings, S^2, S_x) that
@@ -72,7 +73,11 @@ S^2's bitwise.
 first checks that the operator is Hermitian, exactly, from its Pauli
 strings: (X^x Z^z)^H = (-1)^parity(x & z) X^x Z^z, so with equal strings
 merged the coefficient of each even string must be real and that of each
-odd one imaginary.  The check draws nothing, so the seed fixes every random
+odd one imaginary.  The same merge gives the l1 norm sum_R |c_R|, a bound
+on ||op||_2 and on the entries of op x over max |x| (each string is a
+signed permutation), and an operator whose vector norms could square past
+the double range by it is refused.  Neither check compiles the plan; the
+first matvec does.  The checks draw nothing, so the seed fixes every random
 vector of a solve in order: the start vector, then any fresh vectors, each
 drawn by ``_draw`` in the solve's dtype.  For a real plan the start
 vector, the Krylov basis and the projections are float64 (a real symmetric
@@ -116,6 +121,10 @@ from .errors import ContractError, ConvergenceError, ShapeError, SiteRangeError,
 from .dense_linalg import Spectrum, _canonical_order
 from .kron_core import kron
 from .spin_algebra import AXES, _check_capacity, pauli
+
+# numpy raises ValueError, not MemoryError, for an array over intp-max bytes;
+# past this size a complex128 state is refused before anything is allocated
+MAX_STATE_SITES = (np.iinfo(np.intp).max // 16).bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +243,8 @@ class MatvecPlan:
     the terms with three or more active sites, applied site by site.
     ``real`` is true when the diagonal is float64, every weight a float and
     ``fallback`` empty, i.e. the operator maps real states to real states.
+    A plan carries no norm: Lanczos bounds the operator by the l1 norm of
+    its merged Pauli strings, before any plan is compiled.
     """
 
     diagonal: np.ndarray
@@ -251,23 +262,6 @@ class MatvecPlan:
         slabs = sum(dim >> (len(shape) // 2) for shape, *_ in self.moves)
         passes = sum(len(t.active_slots) + 1 for t in self.fallback)
         return dim + slabs + dim * passes
-
-    @property
-    def norm_bound(self) -> float:
-        """Gershgorin bound on every row's absolute sum, hence on the 2-norm
-        of a Hermitian operator: max |diagonal|, plus each move's |weight|
-        (a move puts at most one entry in a row), plus per fallback term
-        |coefficient| times the largest absolute row sum of each active
-        factor.  inf when that sum is past the double range."""
-        with np.errstate(over="ignore"):
-            bound = float(np.max(np.abs(self.diagonal)))
-            bound += float(np.sum(np.abs([move[3] for move in self.moves])))
-            for term in self.fallback:
-                part = abs(term.coefficient)
-                for slot in term.active_slots:
-                    part *= float(np.max(np.sum(np.abs(term.factors[slot]), axis=1)))
-                bound += part
-        return bound
 
     @cached_property
     def shared_weight(self) -> float | complex | None:
@@ -385,8 +379,12 @@ def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
     emits each ``(dst, src, weight)`` entry as a move, masking the slots'
     bits where dst and src differ.  ``on_slab`` has one axis per axis of the
     slab shape, or is a scalar when it is zero or ``slots`` is empty.  Raises
-    SizingError when a diagonal entry or a move weight is past the double
-    range."""
+    SizingError, before allocating anything, when ``n`` passes
+    ``MAX_STATE_SITES``, and when a diagonal entry or a move weight is past
+    the double range."""
+    if n > MAX_STATE_SITES:
+        raise SizingError(f"a {n}-site state has 2^{n} amplitudes, past numpy's index range "
+                          f"(at most {MAX_STATE_SITES} sites)")
     # zeros plus each slab, not np.full: numpy takes zeroed memory from
     # calloc, which maps a large array afresh; np.full's malloc'd array
     # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB.  Real
@@ -627,11 +625,11 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     any length-2^n array.
 
     Z^z X^x = (-1)^parity(z & x) X^x Z^z, so P = X^xa Z^za and Q = X^xb Z^zb
-    anticommute when parity(za & xb) != parity(zb & xa), and then [P, Q] =
-    2 PQ = +-2 X^(xa ^ xb) Z^(za ^ zb), of sign (-1)^parity(za & xb);
-    otherwise they commute.  The products are summed per string
-    (``_sum_strings``) and, the strings being orthogonal with squared norm
-    2^n, the norm is 2^(n/2) times that of the sums.  Work and memory are
+    anticommute when their symplectic form (za & xb) ^ (xa & zb) has odd
+    parity, and then [P, Q] = 2 PQ = +-2 X^(xa ^ xb) Z^(za ^ zb), of sign
+    (-1)^parity(za & xb); otherwise they commute.  The products are summed
+    per string (``_sum_strings``) and, the strings being orthogonal with
+    squared norm 2^n, the norm is 2^(n/2) times that of the sums.  Work and memory are
     one product per pair of strings.  Raises ContractError when the site
     counts differ and SizingError past 63 sites, whose strings do not fit
     int64 bit masks, or when a product, a sum or the norm is past the double
@@ -643,12 +641,16 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
         raise SizingError(f"Pauli strings on {a.n_sites} sites do not fit int64 bit masks")
     xa, za, ca = a.pauli_strings
     xb, zb, cb = b.pauli_strings
-    flipped = _parity(za[:, None] & xb)
-    i, j = np.nonzero(flipped != _parity(xa[:, None] & zb))
+    # one |A| x |B| array: the symplectic form, whose parity marks the
+    # anticommuting pairs
+    pairs = za[:, None] & xb
+    pairs ^= xa[:, None] & zb
+    i, j = np.nonzero(_parity(pairs))
+    del pairs
     # an overflow leaves an inf or NaN in the sums, and so in the norm
     with np.errstate(over="ignore", invalid="ignore"):
         # ca cb (+-2), not +-2 ca cb, which overflows on 1e308 * 0.5
-        c = ca[i] * cb[j] * np.where(flipped[i, j], -2.0, 2.0)
+        c = ca[i] * cb[j] * np.where(_parity(za[i] & xb[j]), -2.0, 2.0)
         sums = _sum_strings(xa[i] ^ xb[j], za[i] ^ zb[j], c)[2:]
         norm = frobenius(sums) * 2.0 ** (a.n_sites / 2)
     if not math.isfinite(norm):
@@ -853,14 +855,19 @@ def _draw(rng, dim: int, real: bool) -> np.ndarray:
     return x if real else x + 1j * rng.standard_normal(dim)
 
 
-def _check_hermitian(op: KronSum) -> None:
+# an overflow leaves an inf or NaN in the returned bound, which is refused
+@np.errstate(over="ignore", invalid="ignore")
+def _check_hermitian(op: KronSum) -> float:
     """ContractError unless op is Hermitian, read exactly from its Pauli
-    strings.  (X^x Z^z)^H = Z^z X^x = (-1)^parity(x & z) X^x Z^z, so with the
-    equal strings merged, the anti-Hermitian part (op - op^H) / 2 has
-    coefficient i Im c on each string of even parity and Re c on each odd
-    one.  Refused when its norm passes _HERMITIAN_RTOL times that of op (the
-    string norms are the Frobenius norms over 2^(n/2)).  No vector of length
-    2^n is formed and no draw is made."""
+    strings; otherwise the l1 norm sum_R |c_R| of the merged strings.
+    (X^x Z^z)^H = Z^z X^x = (-1)^parity(x & z) X^x Z^z, so with the equal
+    strings merged, the anti-Hermitian part (op - op^H) / 2 has coefficient
+    i Im c on each string of even parity and Re c on each odd one.  Refused
+    when its norm passes _HERMITIAN_RTOL times that of op (the string norms
+    are the Frobenius norms over 2^(n/2)).  Each string is a signed
+    permutation, all its entries of modulus 1, so the l1 norm bounds
+    ||op||_2 and every entry of op x over max |x|; inf or NaN when past the
+    double range.  No vector of length 2^n is formed and no draw is made."""
     x, z, re, im = _sum_strings(*op.pauli_strings)
     anti = frobenius(np.where(_parity(x & z), re, im))
     whole = frobenius([re, im])
@@ -869,6 +876,7 @@ def _check_hermitian(op: KronSum) -> None:
             f"operator is not Hermitian: its anti-Hermitian part has Frobenius norm "
             f"{anti:.6e} times 2^(n/2), against {whole:.6e} for the whole"
         )
+    return float(np.sum(np.hypot(re, im)))
 
 
 def _overlaps(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -964,10 +972,11 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     ContractError when ``which`` is neither 'lowest' nor 'highest', ``k`` or
     ``max_iter`` is not an integer, ``seed`` not a non-negative one (Python
     or numpy integers; a bool is refused) or ``tol`` not finite and
-    positive, SizingError when twice the plan's ``norm_bound``, squared, is
-    past the double range, and ContractError when the operator is not
-    Hermitian: the Frobenius norm of its anti-Hermitian part, read exactly
-    from its Pauli strings, passes 1e-8 times that of the operator.
+    positive, ContractError when the operator is not Hermitian: the
+    Frobenius norm of its anti-Hermitian part, read exactly from its merged
+    Pauli strings, passes 1e-8 times that of the operator, and SizingError
+    when twice the l1 norm of those strings, sum_R |c_R|, squared, is past
+    the double range.  An operator either check refuses compiles no plan.
     """
     if which not in ("lowest", "highest"):
         raise ContractError(f"which must be 'lowest' or 'highest', got {which!r}")
@@ -990,15 +999,15 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     max_iter = int(max_iter)
     if max_iter < k:
         raise ContractError(f"max_iter {max_iter} cannot deliver k = {k} values")
-    # the norms below square the entries of op x, each at most the bound in
-    # size, and of residuals op v - theta v, at most twice it
-    bound = op.plan.norm_bound
+    # the norms below square the entries of op x, each at most the bound
+    # times max |x| in size, and of residuals op v - theta v, at most twice
+    # it; the plan is compiled only once both checks pass
+    bound = _check_hermitian(op)
     if not math.isfinite(4.0 * bound * bound):
         raise SizingError(
             f"the operator's norm bound {bound:.3e} is too large for Lanczos: the squared "
             "norms of its vectors would be past the double range"
         )
-    _check_hermitian(op)
     rng = np.random.default_rng(seed)
 
     real = op.plan.real

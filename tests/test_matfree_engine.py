@@ -738,6 +738,21 @@ class TestCommutatorNorm:
         with pytest.raises(SizingError, match="int64"):
             commutator_norm(op, op)
 
+    def test_complete_graph_pairs_peak_below_40_mib(self):
+        # conserved's three pairs on the 32-site complete graph: 1520 strings
+        # of H against 1489 of S^2, one int64 array of the pairs (18 MB)
+        # and the copy _parity shifts; a second pair array held beside them
+        # peaks at 51.8 MiB
+        n = 32
+        h = spec_to_kronsum(complete_graph_spec(n, 1.0, 1.0), 0.5)
+        s_z, s_sq = total_component_kronsum("z", n), total_spin_squared_kronsum(n)
+
+        def pairs():
+            for a, b in [(h, s_z), (h, s_sq), (s_z, s_sq)]:
+                commutator_norm(a, b)
+
+        assert traced_peak(pairs) <= 40 << 20
+
     def test_norm_past_the_double_range_is_sizing_error(self):
         # each string product is finite on the 13-site chain with J = 6e307
         # on edge (1, 2) at Z_SCALE 2, but the norm of [H, S^2] is not
@@ -757,6 +772,36 @@ class TestCommutatorNorm:
             warnings.simplefilter("error")
             got = commutator_norm(spec_to_kronsum(chain_spec(4, 0.0, 1e200), 2.0), s_sq)
         assert got == pytest.approx(1e200 * unit, rel=1e-12)
+
+
+class TestUnaddressableRegister:
+    """Past MAX_STATE_SITES a complex128 state has more bytes than numpy can
+    address; the plan writer refuses such a register before it allocates."""
+
+    @pytest.mark.parametrize("n", [59, 62])
+    @pytest.mark.parametrize("make", [lambda n: ExchangeSum(n, 1.0, [(1, 2, 1.0, 1.0)]),
+                                      lambda n: total_component_kronsum("x", n)],
+                             ids=["exchange", "compiled"])
+    @pytest.mark.parametrize("call", [lambda op: op.plan, lambda op: matvec(op, np.zeros(4)),
+                                      lanczos_extremal], ids=["plan", "matvec", "lanczos"])
+    def test_refused_as_sizing_error(self, n, make, call):
+        op = make(n)
+
+        def refused():
+            with pytest.raises(SizingError, match=f"a {n}-site state"):
+                call(op)
+
+        assert traced_peak(refused) < 1 << 20
+
+    def test_ladder_is_refused(self):
+        with pytest.raises(SizingError, match="a 59-site state"):
+            total_spin_squared_ladder(59)
+
+    def test_commutator_norm_still_answers_at_63_sites(self):
+        # it builds no plan: [S_z, S_x] is i S_y, n orthogonal strings
+        s_x, s_z = total_component_kronsum("x", 63), total_component_kronsum("z", 63)
+        assert commutator_norm(s_z, s_x) == pytest.approx(2.0 ** 31.5 * math.sqrt(63) / 2)
+        assert "plan" not in vars(s_z)
 
 
 class TestScatterDense:
@@ -1330,14 +1375,26 @@ class TestLanczos:
         assert np.allclose(s.eigenvalues, dense[:2], rtol=0, atol=1e-8 * scale)
 
     def test_norm_bound(self, rng):
-        # a Gershgorin bound: at least the spectral radius, exact for a
-        # diagonal plan
-        assert spec_to_kronsum(HamiltonianSpec(3, 2.0, ())).plan.norm_bound == 6.0
-        plan = spec_to_kronsum(chain_spec(4, j=0.5)).plan
-        assert plan.norm_bound == np.max(np.abs(plan.diagonal)) + 6 * 1.0
+        # the Hermitian check returns the l1 norm of the merged strings,
+        # signed permutations: at least the spectral radius, and exact for a
+        # field of one sign on every site
+        norm_bound = matfree_engine._check_hermitian
+        assert norm_bound(spec_to_kronsum(HamiltonianSpec(3, 2.0, ()))) == 6.0
         for op in (hermitian_kronsum(rng, 3), spec_to_kronsum(random_spec(rng, 5))):
             values = np.linalg.eigvalsh(to_dense(op))
-            assert np.max(np.abs(values)) <= op.plan.norm_bound * (1 + 1e-12)
+            assert np.max(np.abs(values)) <= norm_bound(op) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: KronSum(3, (KronTerm(1.0, (np.array([[0.0, 1.0], [0.0, 0.0]]), None, None)),)),
+         ContractError),
+        (lambda: spec_to_kronsum(chain_spec(4, j=1e160)), SizingError),
+    ], ids=["non-hermitian", "norm-bound"])
+    def test_refused_operators_compile_no_plan(self, make, error):
+        # both up-front checks read the strings; the first matvec compiles
+        op = make()
+        with pytest.raises(error):
+            lanczos_extremal(op)
+        assert "plan" not in op.__dict__
 
 
 def xx_chain_spec(rng, n: int) -> HamiltonianSpec:
@@ -1677,12 +1734,14 @@ class TestLanczosSelectivePass:
     def test_tight_tolerances_converge(self, spec, z_scale, which, tol):
         # at a bound of 1e-12 whatever the tol, most of these solves spent
         # their 300 steps: rounding in the skipped passes sits above
-        # 1e-13 of the norm
+        # 1e-13 of the norm.  The l1 bound is at least ||H||_2, which is at
+        # least the solve's norm estimate
         op = spec_to_kronsum(spec, z_scale)
+        norm_bound = matfree_engine._check_hermitian(op)
         for seed in range(4):
             s = lanczos_extremal(op, which=which, tol=tol, seed=seed)
             v = s.eigenvectors[:, 0]
-            assert np.linalg.norm(matvec(op, v) - s.eigenvalues[0] * v) <= tol * op.plan.norm_bound
+            assert np.linalg.norm(matvec(op, v) - s.eigenvalues[0] * v) <= tol * norm_bound
 
 
 class TestComplexityScaling:
