@@ -7,28 +7,29 @@ n addresses bit n - k.  A matvec never materializes the 2^n x 2^n matrix.
 
 On first use a KronSum is compiled into a ``MatvecPlan`` kept on the
 operator: the local 2 x 2 and 4 x 4 matrices of the terms with at most two
-active sites are summed per site set, which ``_write_plan``, the one plan
-writer, turns into one length-2^n diagonal and weighted moves, refusing a
-sum past the double range and a register past ``MAX_STATE_SITES``; terms
-with three or more active sites are kept as they are.  A matvec is then
-one diagonal multiply, one strided update over 2^n / 2 (one site) or
-2^n / 4 (two sites) amplitudes per move, and one pass per active site for
-each remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
-O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per
-coupling edge, independent of the number of sites per term;
-scratch is one length-2^n vector beside the result (three when a term spans
-three sites).
+active sites are summed per site set and handed, as each set's local
+diagonal and its off-diagonal entries between bit tuples, to
+``_write_plan``.  That one plan writer, the only code that knows the slab
+layout, turns them into one length-2^n diagonal and weighted moves, refusing
+a sum past the double range and a register past ``MAX_STATE_SITES``; terms
+with three or more active sites are kept as they are.  A matvec is then one
+diagonal multiply, one strided update over 2^n / 2 (one site) or 2^n / 4
+(two sites) amplitudes per move, and one pass per active site for each
+remaining term.  For the Zeeman-plus-exchange Hamiltonian that is
+O((1 + |E| / 2) 2^n) amplitude updates, two moves of weight 2J per coupling
+edge, independent of the number of sites per term; scratch is one
+length-2^n vector beside the result (three when a term spans three sites).
 When every move has one weight (uniform chains and rings, S^2, S_x) that
 scratch holds x times the weight, computed once, and each move is a single
 add; otherwise it holds each move's weighted slab in turn.  A slab whose
 contiguous run is shorter than 8 amplitudes (the last sites of a chain, most
-S^2 edges) is iterated along its longest axis instead, so numpy's inner loop
-is long; the plan keeps these per-move facts after the first matvec.  The
-moves run with numpy's ufunc buffer at 256 elements, restored on return:
-at the default 8192, a slab whose contiguous runs hold 128-2048 amplitudes
-took two to three times as long.  Each amplitude gets the same multiply and
-the same adds in plan order either way, so the result is the plain per-move
-loop's bit for bit.
+S^2 edges) is iterated along its longest axis instead, so numpy's inner
+loop is long; the writer records the shared weight and each move's axis
+order in the plan.  The moves run with numpy's ufunc buffer at 256
+elements, restored on return: at the default 8192, a slab whose contiguous
+runs hold 128-2048 amplitudes took two to three times as long.  Each
+amplitude gets the same multiply and the same adds in plan order either
+way, so the result is the plain per-move loop's bit for bit.
 
 A plan is real when its diagonal is float64, every move weight is a real
 float and no fallback terms remain: every spec Hamiltonian (any XXZ
@@ -50,17 +51,17 @@ product law two strings either commute or anticommute, so [P, Q] is 0 or
 sqrt(sum_R |c_R|^2) over its product strings R: one product per pair of
 strings, with nothing of length 2^n.
 
-The spec Hamiltonian, S_z and S^2 share one shape, a constant and a field
-on every site plus exchange couplings on a graph (S_z is the field 1/2
-without edges, S^2 the complete graph at J = 1/2 plus 3n/4).  Each is an
+The spec Hamiltonian, S_z and S^2 share one shape, a constant and a field on
+every site plus exchange couplings on a graph (S_z is the field 1/2 without
+edges, S^2 the complete graph at J = 1/2 plus 3n/4).  Each is an
 ``ExchangeSum``, which keeps only that edge list and checks its values once:
-it hands ``_write_plan`` one site set per site and per edge, their diagonal
-slabs and flip-flop moves read straight from the edges, it writes its Pauli
-strings from the edges too, and its KronTerms are built only when read, so
-a matvec, a dense matrix or a commutator norm of these operators constructs
-no term.  A dense H, S_axis or S^2 scatters the flip form of its plan, row
-k of the coefficients at (s, s ^ masks[k]), equal to the lifted forms
-bitwise.
+it hands ``_write_plan`` one site set per site and per edge, their local
+diagonals and flip-flop entries read straight from the edges, it writes its
+Pauli strings from the edges too, and its KronTerms are built only when
+read, so a matvec, a dense matrix or a commutator norm of these operators
+constructs no term.  A dense H, S_axis or S^2 scatters the flip form of its
+plan, row k of the coefficients at (s, s ^ masks[k]), equal to the lifted
+forms bitwise.
 
 That complete graph costs S^2 n(n - 1) quarter-length moves per matvec.
 ``total_spin_squared_ladder`` applies S^2 = S_- S_+ + S_z (S_z + 1) instead:
@@ -112,7 +113,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -203,8 +204,9 @@ class KronSum:
         factor f expands as sum_P tr(P^T f) / 2 P over P in I, X, Z and XZ,
         which are real and orthogonal, so a term on k sites gives up to 4^k
         strings; each factor's zero weights are dropped.  Built on first use
-        and kept with the operator like ``plan``."""
-        n = self.n_sites
+        and kept with the operator like ``plan``; SizingError past 63 sites
+        (``_check_string_sites``)."""
+        n = _check_string_sites(self.n_sites)
         strings = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
         for term in self.terms:
             x = z = np.zeros(1, np.int64)
@@ -217,6 +219,14 @@ class KronSum:
                 c = (c[:, None] * weights[k]).ravel()
             strings.append((x, z, c))
         return _frozen(*map(np.concatenate, zip(*strings)))
+
+
+def _check_string_sites(n: int) -> int:
+    """``n`` unless it passes 63 sites, whose Pauli strings do not fit int64
+    bit masks: SizingError."""
+    if n > 63:
+        raise SizingError(f"Pauli strings on {n} sites do not fit int64 bit masks")
+    return n
 
 
 def _frozen(*arrays) -> tuple:
@@ -235,22 +245,29 @@ class MatvecPlan:
 
     ``diagonal`` is the summed diagonal of every term with at most two
     active sites (float64 when its imaginary part is exactly zero).  Each
-    move ``(shape, dst, src, weight, mask)`` adds ``weight * x_view[src]``
-    to ``y_view[dst]``, where ``*_view`` is the state reshaped to ``shape``
-    with one length-2 axis per site of the move; ``weight`` is a float when
-    its imaginary part is exactly zero, else a complex, and ``mask`` holds
-    the state bits in which ``dst`` and ``src`` differ.  ``fallback`` holds
-    the terms with three or more active sites, applied site by site.
-    ``real`` is true when the diagonal is float64, every weight a float and
-    ``fallback`` empty, i.e. the operator maps real states to real states.
-    A plan carries no norm: Lanczos bounds the operator by the l1 norm of
-    its merged Pauli strings, before any plan is compiled.
+    move ``(shape, dst, src, weight, mask, axes)`` adds ``weight *
+    x_view[src]`` to ``y_view[dst]``, where ``*_view`` is the state reshaped
+    to ``shape`` with one length-2 axis per site of the move; ``weight`` is a
+    float when its imaginary part is exactly zero, else a complex, ``mask``
+    holds the state bits in which ``dst`` and ``src`` differ, and ``axes`` is
+    the axis order in which ``matvec`` iterates the slab view, or None for
+    the view's own (``_long_axis_last``).  ``shared_weight`` is the weight
+    every move carries, or None when two weights differ or there are no
+    moves; equal means the same double in each part, signed zeros told
+    apart.
+    ``fallback`` holds the terms with three or more active sites, applied
+    site by site.  ``real`` is true when the diagonal is float64, every
+    weight a float and ``fallback`` empty, i.e. the operator maps real
+    states to real states.  A plan carries no norm: Lanczos bounds the
+    operator by the l1 norm of its merged Pauli strings, before any plan is
+    compiled.
     """
 
     diagonal: np.ndarray
     moves: tuple
     fallback: tuple[KronTerm, ...]
     real: bool
+    shared_weight: float | complex | None
 
     @property
     def amplitudes_touched(self) -> int:
@@ -263,34 +280,14 @@ class MatvecPlan:
         passes = sum(len(t.active_slots) + 1 for t in self.fallback)
         return dim + slabs + dim * passes
 
-    @cached_property
-    def shared_weight(self) -> float | complex | None:
-        """The weight every move carries, or None when two weights differ
-        (or there are no moves); read on the first matvec and kept.  Equal
-        means the same double in each part, signed zeros told apart."""
-        weights = {repr(complex(move[3])) for move in self.moves}
-        return self.moves[0][3] if len(weights) == 1 else None
 
-    @cached_property
-    def sweeps(self) -> tuple:
-        """Each move as ``(shape, dst, src, weight, axes)``, derived on the
-        first matvec and kept.  ``axes`` is None when the move's slab view
-        ends in a contiguous run of at least 8 amplitudes (one 64-byte cache
-        line of float64); otherwise it moves the slab's longest axis last,
-        so the matvec's inner loop runs along it rather than over runs of
-        1-4 amplitudes, the other axes keeping their order."""
-        # the slab view keeps every other axis of the reshaped state
-        return tuple((shape, dst, src, weight, _long_axis_last(shape[::2], 8))
-                     for shape, dst, src, weight, _ in self.moves)
-
-
-def _long_axis_last(lengths, min_run: int) -> tuple | None:
+def _long_axis_last(lengths) -> tuple | None:
     """The axis order that iterates a C-ordered view of these axis lengths
-    along its longest axis, or None when its last axis runs over ``min_run``
-    or more amplitudes or is longest already.  Of equal lengths the later
-    (smaller stride) axis counts as longest; the other axes keep their
-    order."""
-    if lengths[-1] >= min_run:
+    along its longest axis, or None when its last axis runs over 8 or more
+    amplitudes (one 64-byte cache line of float64) or is longest already.
+    Of equal lengths the later (smaller stride) axis counts as longest; the
+    other axes keep their order."""
+    if lengths[-1] >= 8:
         return None
     order = range(len(lengths))
     # max keeps the first of equal keys, so the later axis of equal lengths
@@ -312,6 +309,7 @@ def _slab_shape(slots, n: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+@cache
 def _slab_index(bits) -> tuple:
     """Index selecting the given bit of each slot axis of a slab view."""
     index = []
@@ -365,84 +363,74 @@ def _compile(op: KronSum) -> MatvecPlan:
                 continue
             if weight.imag == 0:
                 weight = weight.real
-            entries.append((_slab_index(out_bits), _slab_index(in_bits), weight))
-        # the local diagonal, broadcast over the slab axes between the slots
-        on_slab = np.diagonal(local.reshape(1 << k, 1 << k)).reshape([1, 2] * k + [1])
-        site_sets.append((slots, on_slab, entries))
+            entries.append((out_bits, in_bits, weight))
+        site_sets.append((slots, np.diagonal(local.reshape(1 << k, 1 << k)), entries))
     return _write_plan(op.n_sites, site_sets, fallback)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
-    """The one writer of a ``MatvecPlan``.  Each site set ``(slots, on_slab,
-    entries)`` in turn adds ``on_slab`` to the diagonal over its slab and
-    emits each ``(dst, src, weight)`` entry as a move, masking the slots'
-    bits where dst and src differ.  ``on_slab`` has one axis per axis of the
-    slab shape, or is a scalar when it is zero or ``slots`` is empty.  Raises
-    SizingError, before allocating anything, when ``n`` passes
-    ``MAX_STATE_SITES``, and when a diagonal entry or a move weight is past
-    the double range."""
+    """The one writer of a ``MatvecPlan``, and the one place that knows the
+    slab layout.  Each site set ``(slots, local_diagonal, entries)`` is in
+    local terms: ``local_diagonal`` holds the 2^k diagonal values of the k
+    slots (the first slot's bit most significant), or is 0, and each entry
+    ``(out_bits, in_bits, weight)`` is an off-diagonal value with one bit per
+    slot.  The writer adds the local diagonal to the plan's diagonal over
+    the site set's slab and emits each entry as a move, with its slab
+    indices, the mask of the slots' bits where out and in differ and the
+    slab's sweep axes.  Raises SizingError, before allocating anything, when
+    ``n`` passes ``MAX_STATE_SITES``, and when a diagonal entry or a move
+    weight is past the double range."""
     if n > MAX_STATE_SITES:
         raise SizingError(f"a {n}-site state has 2^{n} amplitudes, past numpy's index range "
                           f"(at most {MAX_STATE_SITES} sites)")
     # zeros plus each slab, not np.full: numpy takes zeroed memory from
     # calloc, which maps a large array afresh; np.full's malloc'd array
-    # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB.  Real
-    # and imaginary parts add apart, exactly as complex addition does; the
-    # imaginary part is allocated only once some site set has one
-    real = np.zeros(1 << n)
-    imag = None
+    # raised the peak RSS of a 16-site chain Lanczos solve by 3.5 MB.  The
+    # diagonal turns complex128 only once a site set brings an imaginary
+    # part; an all-zero local diagonal (a ladder plan's, an XX edge's) is
+    # skipped, which changes no bit: no entry is ever -0.0
+    diagonal = np.zeros(1 << n)
     moves = []
-    for slots, on_slab, entries in site_sets:
+    for slots, local_diagonal, entries in site_sets:
         shape = _slab_shape(slots, n)
-        # an add whose runs hold 1 or 2 amplitudes goes along the slab's
-        # longest axis, as the moves do; with runs of 4 that took 90 us
-        # against 39 us as is (n = 15, best of 50).  An all-zero part (a
-        # ladder plan's, an XX edge's) is skipped, which changes no bit: no
-        # entry is ever -0.0
-        axes = _long_axis_last(shape, 4)
-        on_slab = np.asarray(on_slab)
-        parts = [(real, on_slab.real)]
-        if np.iscomplexobj(on_slab) and np.count_nonzero(on_slab.imag):
-            if imag is None:
-                imag = np.zeros(1 << n)
-            parts.append((imag, on_slab.imag))
-        for diagonal, value in parts:
-            if not np.count_nonzero(value):
-                continue
+        local_diagonal = np.asarray(local_diagonal)
+        if np.iscomplexobj(local_diagonal) and np.count_nonzero(local_diagonal.imag):
+            diagonal = diagonal.astype(np.complex128, copy=False)
+        else:
+            local_diagonal = local_diagonal.real
+        if np.count_nonzero(local_diagonal):
             part = diagonal.reshape(shape)
-            if axes:
-                part, value = part.transpose(axes), value.transpose(axes)
-                # order="C" keeps the axis order given
-                np.add(part, value, out=part, order="C")
-            else:
-                part += value
-        for dst, src, weight in entries:
-            mask = 0
-            for slot, out_bit, in_bit in zip(slots, dst[1::2], src[1::2]):
-                if out_bit != in_bit:
-                    mask |= 1 << (n - 1 - slot)
-            moves.append((shape, dst, src, weight, mask))
+            part += local_diagonal.reshape([1, 2] * len(slots) + [1])
+        # the slab view keeps every other axis of the reshaped state
+        axes = _long_axis_last(shape[::2])
+        for out_bits, in_bits, weight in entries:
+            mask = sum(1 << (n - 1 - slot) for slot, out_bit, in_bit
+                       in zip(slots, out_bits, in_bits) if out_bit != in_bit)
+            moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight, mask, axes))
 
-    diagonal = real if imag is None or not imag.any() else real + 1j * imag
+    if diagonal.dtype == np.complex128 and not diagonal.imag.any():
+        diagonal = diagonal.real.copy()
     if not (np.isfinite(diagonal).all() and all(cmath.isfinite(move[3]) for move in moves)):
         raise SizingError(f"the {n}-site operator sums to an entry past the double range")
     diagonal.setflags(write=False)
     real = (diagonal.dtype == np.float64 and not fallback
             and all(isinstance(move[3], float) for move in moves))
-    return MatvecPlan(diagonal, tuple(moves), tuple(fallback), real)
+    # signed zeros are told apart: they multiply x differently
+    weights = {repr(complex(move[3])) for move in moves}
+    shared = moves[0][3] if len(weights) == 1 else None
+    return MatvecPlan(diagonal, tuple(moves), tuple(fallback), real, shared)
 
 
-# sigma_z on one site and sigma_z sigma_z on two, as slab diagonals
-_Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
-_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(1, 2, 1, 2, 1)
+# sigma_z on one site and sigma_z sigma_z on two, as local diagonals
+_Z_SIGNS = np.array([1.0, -1.0])
+_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 # sigma_x sigma_x + sigma_y sigma_y is 2 at 01 <- 10 and at 10 <- 01: the
-# (dst, src) slab indices of an exchange edge's two moves
-_FLIP_FLOPS = ((_slab_index((0, 1)), _slab_index((1, 0))),
-               (_slab_index((1, 0)), _slab_index((0, 1))))
-# sigma^+ = |0><1| (bit 0 is spin up, sigma_z = +1): the (dst, src) slab
-# indices of a raising move; a lowering move swaps them
-_RAISE = (_slab_index((0,)), _slab_index((1,)))
+# (out, in) bits of an exchange edge's two moves
+_FLIP_FLOPS = (((0, 1), (1, 0)), ((1, 0), (0, 1)))
+# sigma^+ = |0><1| (bit 0 is spin up, sigma_z = +1): the (out, in) bits of a
+# raising move; a lowering move swaps them
+_RAISE = ((0,), (1,))
 
 
 def _flip_form(plan: MatvecPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +452,7 @@ def _flip_form(plan: MatvecPlan) -> tuple[np.ndarray, np.ndarray]:
     coefficients = np.zeros((len(row_of), plan.diagonal.size),
                             dtype=np.float64 if plan.real else np.complex128)
     coefficients[0] = plan.diagonal
-    for shape, dst, _, weight, mask in plan.moves:
+    for shape, dst, _, weight, mask, _ in plan.moves:
         part = coefficients[row_of[mask]].reshape(shape)[dst]
         part += weight
     return np.array(list(row_of), dtype=np.int64), coefficients
@@ -504,7 +492,7 @@ def matvec(op: KronSum, x) -> np.ndarray:
     is scaled by it once and each move adds a slab of that copy; otherwise
     each move first writes its weighted slab into one reused scratch row.  A
     slab with runs shorter than 8 amplitudes is iterated along its longest
-    axis (``MatvecPlan.sweeps``), and the moves run with numpy's ufunc
+    axis (each move's ``axes``), and the moves run with numpy's ufunc
     buffer at 256 elements, restored on return.  None of these changes a bit
     of y.
 
@@ -535,7 +523,7 @@ def _apply_plan(plan: MatvecPlan, x) -> np.ndarray:
     # numpy 2
     bufsize = np.setbufsize(_SLAB_BUFSIZE)
     try:
-        for shape, dst, src, weight, axes in plan.sweeps:
+        for shape, dst, src, weight, _, axes in plan.moves:
             out = y.reshape(shape)[dst]
             part = source.reshape(shape)[src]
             if axes:
@@ -631,14 +619,11 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     per string (``_sum_strings``) and, the strings being orthogonal with
     squared norm 2^n, the norm is 2^(n/2) times that of the sums.  Work and memory are
     one product per pair of strings.  Raises ContractError when the site
-    counts differ and SizingError past 63 sites, whose strings do not fit
-    int64 bit masks, or when a product, a sum or the norm is past the double
-    range.
+    counts differ and SizingError past 63 sites, whose strings refuse to be
+    written, or when a product, a sum or the norm is past the double range.
     """
     if a.n_sites != b.n_sites:
         raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
-    if a.n_sites > 63:
-        raise SizingError(f"Pauli strings on {a.n_sites} sites do not fit int64 bit masks")
     xa, za, ca = a.pauli_strings
     xb, zb, cb = b.pauli_strings
     # one |A| x |B| array: the symplectic form, whose parity marks the
@@ -728,7 +713,7 @@ class ExchangeSum(KronSum):
         if self.zeeman:
             site_sets += [((slot,), self.zeeman * _Z_SIGNS, ()) for slot in range(n)]
         for i, j, j_xy, j_z in self.edges:
-            flips = [(dst, src, 2.0 * j_xy) for dst, src in _FLIP_FLOPS] if j_xy else ()
+            flips = [(*bits, 2.0 * j_xy) for bits in _FLIP_FLOPS] if j_xy else ()
             site_sets.append(((i - 1, j - 1), j_z * _ZZ_SIGNS, flips))
         return _write_plan(n, site_sets, ())
 
@@ -737,8 +722,9 @@ class ExchangeSum(KronSum):
         """Written straight from the edge list in ``terms`` order, float64
         coefficients: the constant as the identity string (when nonzero), Z
         on every site (unless ``zeeman`` is None), then per edge XX (j_xy),
-        (XZ)(XZ) (-j_xy, as YY = -(XZ)(XZ)) and ZZ (j_z)."""
-        n = self.n_sites
+        (XZ)(XZ) (-j_xy, as YY = -(XZ)(XZ)) and ZZ (j_z).  SizingError past
+        63 sites, as for any KronSum."""
+        n = _check_string_sites(self.n_sites)
         strings = [(0, 0, self.constant)] if self.constant else []
         if self.zeeman is not None:
             strings += [(0, 1 << (n - k), self.zeeman) for k in range(1, n + 1)]
@@ -792,8 +778,8 @@ def total_spin_squared_ladder(n: int):
     rounding.  ContractError unless ``n`` is a positive integer."""
     n = _check_site_count(n)
     raising, lowering = (
-        _write_plan(n, [((slot,), 0.0, [(dst, src, 1.0)]) for slot in range(n)], ())
-        for dst, src in (_RAISE, _RAISE[::-1])
+        _write_plan(n, [((slot,), 0.0, [(*bits, 1.0)]) for slot in range(n)], ())
+        for bits in (_RAISE, _RAISE[::-1])
     )
     z = total_component_kronsum("z", n).plan.diagonal
     shift = z * (z + 1.0)

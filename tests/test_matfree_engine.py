@@ -404,7 +404,7 @@ def reference_matvec(op: KronSum, x) -> np.ndarray:
     real = plan.real and x.dtype == np.float64
     x = np.ascontiguousarray(x, dtype=np.float64 if real else np.complex128)
     y = plan.diagonal * x
-    for shape, dst, src, weight, _ in plan.moves:
+    for shape, dst, src, weight, _, _ in plan.moves:
         out = y.reshape(shape)[dst]
         out += weight * x.reshape(shape)[src]
     for term in plan.fallback:
@@ -493,7 +493,7 @@ class TestMatvecOracle:
         edges = tuple(CouplingEdge(k, k + 1, 1.0 + jitter * rng.uniform(-1, 1))
                       for k in range(1, n))
         op = spec_to_kronsum(HamiltonianSpec(n, 0.5, edges))
-        reordered = [axes is not None for *_, axes in op.plan.sweeps]
+        reordered = [axes is not None for *_, axes in op.plan.moves]
         assert reordered == [False] * 16 + [True] * 6
         assert (op.plan.shared_weight is None) == bool(jitter)
         for complex_state in (False, True):
@@ -510,6 +510,41 @@ class TestMatvecOracle:
                            KronTerm(complex(-0.0, 1.0), (None, pauli("x"))))).plan
         assert [repr(complex(move[3])) for move in plan.moves] == ["1j", "1j", "(-0+1j)", "(-0+1j)"]
         assert plan.shared_weight is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: spec_to_kronsum(chain_spec(12)),
+        lambda: total_spin_squared_kronsum(7),
+        lambda: total_component_kronsum("y", 9),
+        lambda: two_site_kronsum(np.random.default_rng(1800), 6),
+    ], ids=["chain12", "spin-squared", "s-y", "two-site"])
+    def test_move_axes_put_the_longest_axis_last(self, make):
+        # a slab view keeps every other axis of its shape; one whose last
+        # run holds fewer than 8 amplitudes is swept along its longest axis
+        # (the later of equal ones), the other axes in order
+        for shape, *_, axes in make().plan.moves:
+            lengths = shape[::2]
+            longest = max(range(len(lengths)), key=lambda a: (lengths[a], a))
+            order = tuple(a for a in range(len(lengths)) if a != longest) + (longest,)
+            if lengths[-1] >= 8 or order == tuple(range(len(lengths))):
+                assert axes is None
+            else:
+                assert axes == order
+
+    def test_cancelling_imaginary_diagonal_stays_real(self):
+        # i sigma_z on site 1 and -i sigma_z x I on sites 1-2 cancel on the
+        # diagonal, so the plan is real
+        op = KronSum(2, (KronTerm(1j, (pauli("z"), None)),
+                         KronTerm(-1j, (pauli("z"), np.eye(2))),
+                         KronTerm(0.5, (pauli("x"), pauli("x")))))
+        plan = op.plan
+        assert plan.diagonal.dtype == np.float64
+        assert not plan.diagonal.flags.writeable
+        assert plan.real
+        assert np.array_equal(plan.diagonal, np.zeros(4))
+        x = oracle_state(np.random.default_rng(1900), 2)
+        y = matvec(op, x)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, to_dense(op).real @ x)
 
 
 class TestMatvecBufferSize:
@@ -803,6 +838,20 @@ class TestUnaddressableRegister:
         assert commutator_norm(s_z, s_x) == pytest.approx(2.0 ** 31.5 * math.sqrt(63) / 2)
         assert "plan" not in vars(s_z)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("make", [lambda n: ExchangeSum(n, 1.0, [(1, 2, 1.0, 1.0)]),
+                                      lambda n: total_component_kronsum("y", n)],
+                             ids=["exchange", "general"])
+    @pytest.mark.parametrize("call", [lambda op: op.pauli_strings, lanczos_extremal,
+                                      lambda op: commutator_norm(op, op)],
+                             ids=["strings", "lanczos", "commutator"])
+    def test_strings_past_int64_masks_are_refused(self, n, make, call):
+        # site 1 of 64 is bit 63, the int64 sign bit, and site 1 of 65 is
+        # past the mask: both wrapped silently, and the wrapped sigma_y
+        # strings of 65 sites read as not Hermitian
+        with pytest.raises(SizingError, match=f"Pauli strings on {n} sites"):
+            call(make(n))
+
 
 class TestScatterDense:
     """The dense scatter reads a plan through its flip form, so moves that
@@ -915,10 +964,12 @@ def assert_plans_bitwise_equal(got, want):
     assert not got.diagonal.flags.writeable
     assert got.real == want.real
     assert got.fallback == want.fallback == ()
+    assert type(got.shared_weight) is type(want.shared_weight)
+    assert repr(got.shared_weight) == repr(want.shared_weight)
     assert len(got.moves) == len(want.moves)
     for move, wanted in zip(got.moves, want.moves):
-        shape, dst, src, weight, mask = move
-        assert (shape, dst, src, mask) == (wanted[0], wanted[1], wanted[2], wanted[4])
+        shape, dst, src, weight, mask, axes = move
+        assert (shape, dst, src, mask, axes) == wanted[:3] + wanted[4:]
         # same type and the same double, sign included
         assert type(weight) is type(wanted[3]) and repr(weight) == repr(wanted[3])
 
@@ -947,9 +998,8 @@ class TestExchangePlan:
     @pytest.mark.parametrize("z_scale", [1.0, 0.0, 2.0])
     def test_diagonal_equals_broadcast_adds_bitwise(self, z_scale):
         # the reference adds each site set's signs over the whole state in
-        # one broadcast, in plan order, zeros included; the writer's adds
-        # along a slab's longest axis and its skipped zero slabs (every edge
-        # at z_scale 0) leave the same bits
+        # one broadcast, in plan order, zeros included; the writer's skipped
+        # zero slabs (every edge at z_scale 0) leave the same bits
         rng = np.random.default_rng(7171)
         for n in range(1, 17):
             op = spec_to_kronsum(random_spec(rng, n), z_scale)
