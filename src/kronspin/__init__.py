@@ -6,12 +6,11 @@ as executable checks, the perfect-shuffle similarity), ``spin_algebra``
 (Pauli operators lifted to n-site registers), ``matfree_engine`` (sums of
 Kronecker terms, among them the spec Hamiltonian, S_axis and S^2, as a
 diagonal plus strided moves for 2^n state vectors, written from the edge
-list for H and S^2, the dense Hamiltonian and spin totals scattered from its
-flip form, exact commutator norms from Pauli strings, and a Lanczos extremal
-eigensolver), ``hamiltonian_builder``
-(Zeeman + isotropic exchange Hamiltonians from declarative specs, built
-dense through ``matfree_engine``'s scatter), ``matrix_io`` (text matrix
-round-tripping) and ``cli`` (batch front end).
+list for H and S^2, the dense Hamiltonian, spin totals and exact
+commutator norms from Pauli strings, and a Lanczos extremal eigensolver),
+``hamiltonian_builder`` (Zeeman + isotropic exchange Hamiltonians from
+declarative specs, built dense through ``matfree_engine``'s scatter),
+``matrix_io`` (text matrix round-tripping) and ``cli`` (batch front end).
 """
 
 from .errors import (

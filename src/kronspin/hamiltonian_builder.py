@@ -9,11 +9,10 @@ The general form on n sites is
 with sigma_axis(k) the Pauli matrix lifted to site k (bit n - k of the state
 index, the convention of ``spin_algebra.lift``).  It has one construction:
 the edge list (i, j, J, J * z_scale) of the spec is the matrix-free
-engine's operator (``matfree_engine.spec_to_kronsum``), whose plan is the
-diagonal of Zeeman and zz terms plus two flip-flop moves of weight 2 J per
-edge, and ``build_general`` scatters that plan's flip form into a dense
-matrix.  Every entry equals the lifted-product form and the engine's
-``to_dense`` bitwise.  ``build_general(spec, z_scale)`` multiplies every
+engine's operator (``matfree_engine.spec_to_kronsum``), and
+``build_general`` scatters its Pauli strings into a dense matrix.  Every
+entry equals the lifted-product form and the engine's ``to_dense``
+bitwise.  ``build_general(spec, z_scale)`` multiplies every
 sigma_z sigma_z coupling by z_scale, the XXZ anisotropy Delta; 1 gives the
 isotropic form above.  The two- and three-site builders are the general
 builder applied to fixed edge lists.
@@ -118,10 +117,10 @@ class WeightTriple:
 def build_general(spec: HamiltonianSpec, z_scale: float = 1.0) -> np.ndarray:
     """Dense Hamiltonian for an arbitrary valid spec, with every zz coupling
     scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is isotropic): the
-    flip form of its edge list's plan, scattered.  Raises SizingError when
-    the summed values pass the double range."""
+    Pauli strings of its edge list, scattered.  Raises SizingError when the
+    summed values pass the double range."""
     _check_capacity(spec.n_sites, "dense Hamiltonian")
-    return _scatter_dense(spec_to_kronsum(spec, z_scale).plan)
+    return _scatter_dense(spec_to_kronsum(spec, z_scale))
 
 
 def build_h2(mu_b0: float, j12: float) -> np.ndarray:

@@ -37,11 +37,6 @@ anisotropy), S_z, S_x and S^2 has a real plan.  ``matvec`` of a real plan
 on a float64 state stays float64 end to end, at half the memory traffic of
 complex128; every other combination computes in complex128.
 
-A plan without fallback terms is a sum of masked bit flips, its flip form:
-``(op x)[s] = sum_m c_m[s] x[s ^ m]``, where mask 0 carries the diagonal and
-each move adds its weight to c_m on its destination slab, m being the state
-bits in which its out and in bits differ (Sandvik, arXiv:1101.3281 sec. 4).
-
 Every operator is also a sum of Pauli strings c X^x Z^z
 (``KronSum.pauli_strings``), x and z being bit masks and Y = i XZ (the
 encoding of Aaronson & Gottesman, PRA 70, 052328, 2004).  By the mixed
@@ -49,7 +44,8 @@ product law two strings either commute or anticommute, so [P, Q] is 0 or
 2 PQ, and strings are orthogonal, tr(P^H Q) = 2^n delta_PQ, so
 ``commutator_norm`` gives the exact Frobenius norm of ab - ba as 2^(n/2)
 sqrt(sum_R |c_R|^2) over its product strings R: one product per pair of
-strings, with nothing of length 2^n.
+strings, with nothing of length 2^n.  A dense matrix is scattered from the
+strings too: X^x Z^z puts (-1)^parity(z & s) at (s ^ x, s).
 
 The spec Hamiltonian, S_z and S^2 share one shape, a constant and a field on
 every site plus exchange couplings on a graph (S_z is the field 1/2 without
@@ -59,9 +55,8 @@ it hands ``_write_plan`` one site set per site and per edge, their local
 diagonals and flip-flop entries read straight from the edges, it writes its
 Pauli strings from the edges too, and its KronTerms are built only when
 read, so a matvec, a dense matrix or a commutator norm of these operators
-constructs no term.  A dense H, S_axis or S^2 scatters the flip form of its
-plan, row k of the coefficients at (s, s ^ masks[k]), equal to the lifted
-forms bitwise.
+constructs no term.  A dense H, S_axis or S^2 compiles no plan and equals
+the lifted forms bitwise.
 
 That complete graph costs S^2 n(n - 1) quarter-length moves per matvec.
 ``total_spin_squared_ladder`` applies S^2 = S_- S_+ + S_z (S_z + 1) instead:
@@ -126,6 +121,11 @@ from .spin_algebra import AXES, _check_capacity, pauli
 # numpy raises ValueError, not MemoryError, for an array over intp-max bytes;
 # past this size a complex128 state is refused before anything is allocated
 MAX_STATE_SITES = (np.iinfo(np.intp).max // 16).bit_length() - 1
+
+# Pauli strings a KronSum expands into at most: a general term on k sites
+# gives up to 4^k, and the expansion peaks near 123 B per string (2^21
+# strings, a random 10-site term and its adjoint, took 2.3 s and 246 MiB)
+MAX_PAULI_STRINGS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,14 +205,20 @@ class KronSum:
         which are real and orthogonal, so a term on k sites gives up to 4^k
         strings; each factor's zero weights are dropped.  Built on first use
         and kept with the operator like ``plan``; SizingError past 63 sites
-        (``_check_string_sites``)."""
+        (``_check_string_sites``) and, counted from the weights before any
+        string is written, past ``MAX_PAULI_STRINGS`` strings."""
         n = _check_string_sites(self.n_sites)
+        expansions = [[np.einsum("kab,ab->k", _STRING_FACTORS, term.factors[slot]) / 2
+                       for slot in term.active_slots] for term in self.terms]
+        count = sum(math.prod(map(np.count_nonzero, factors)) for factors in expansions)
+        if count > MAX_PAULI_STRINGS:
+            raise SizingError(f"the {n}-site operator expands into {count} Pauli strings, "
+                              f"past the cap of {MAX_PAULI_STRINGS}")
         strings = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
-        for term in self.terms:
+        for term, factors in zip(self.terms, expansions):
             x = z = np.zeros(1, np.int64)
             c = np.array([term.coefficient])
-            for slot in term.active_slots:
-                weights = np.einsum("kab,ab->k", _STRING_FACTORS, term.factors[slot]) / 2
+            for slot, weights in zip(term.active_slots, factors):
                 k = np.flatnonzero(weights)
                 x = (x[:, None] | (k & 1) << (n - 1 - slot)).ravel()
                 z = (z[:, None] | (k >> 1) << (n - 1 - slot)).ravel()
@@ -245,13 +251,12 @@ class MatvecPlan:
 
     ``diagonal`` is the summed diagonal of every term with at most two
     active sites (float64 when its imaginary part is exactly zero).  Each
-    move ``(shape, dst, src, weight, mask, axes)`` adds ``weight *
-    x_view[src]`` to ``y_view[dst]``, where ``*_view`` is the state reshaped
-    to ``shape`` with one length-2 axis per site of the move; ``weight`` is a
-    float when its imaginary part is exactly zero, else a complex, ``mask``
-    holds the state bits in which ``dst`` and ``src`` differ, and ``axes`` is
-    the axis order in which ``matvec`` iterates the slab view, or None for
-    the view's own (``_long_axis_last``).  ``shared_weight`` is the weight
+    move ``(shape, dst, src, weight, axes)`` adds ``weight * x_view[src]``
+    to ``y_view[dst]``, where ``*_view`` is the state reshaped to ``shape``
+    with one length-2 axis per site of the move; ``weight`` is a float when
+    its imaginary part is exactly zero, else a complex, and ``axes`` is the
+    axis order in which ``matvec`` iterates the slab view, or None for the
+    view's own (``_long_axis_last``).  ``shared_weight`` is the weight
     every move carries, or None when two weights differ or there are no
     moves; equal means the same double in each part, signed zeros told
     apart.
@@ -377,10 +382,9 @@ def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
     ``(out_bits, in_bits, weight)`` is an off-diagonal value with one bit per
     slot.  The writer adds the local diagonal to the plan's diagonal over
     the site set's slab and emits each entry as a move, with its slab
-    indices, the mask of the slots' bits where out and in differ and the
-    slab's sweep axes.  Raises SizingError, before allocating anything, when
-    ``n`` passes ``MAX_STATE_SITES``, and when a diagonal entry or a move
-    weight is past the double range."""
+    indices and the slab's sweep axes.  Raises SizingError, before
+    allocating anything, when ``n`` passes ``MAX_STATE_SITES``, and when a
+    diagonal entry or a move weight is past the double range."""
     if n > MAX_STATE_SITES:
         raise SizingError(f"a {n}-site state has 2^{n} amplitudes, past numpy's index range "
                           f"(at most {MAX_STATE_SITES} sites)")
@@ -405,9 +409,7 @@ def _write_plan(n: int, site_sets, fallback) -> MatvecPlan:
         # the slab view keeps every other axis of the reshaped state
         axes = _long_axis_last(shape[::2])
         for out_bits, in_bits, weight in entries:
-            mask = sum(1 << (n - 1 - slot) for slot, out_bit, in_bit
-                       in zip(slots, out_bits, in_bits) if out_bit != in_bit)
-            moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight, mask, axes))
+            moves.append((shape, _slab_index(out_bits), _slab_index(in_bits), weight, axes))
 
     if diagonal.dtype == np.complex128 and not diagonal.imag.any():
         diagonal = diagonal.real.copy()
@@ -431,31 +433,6 @@ _FLIP_FLOPS = (((0, 1), (1, 0)), ((1, 0), (0, 1)))
 # sigma^+ = |0><1| (bit 0 is spin up, sigma_z = +1): the (out, in) bits of a
 # raising move; a lowering move swaps them
 _RAISE = ((0,), (1,))
-
-
-def _flip_form(plan: MatvecPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The plan as masked bit flips, ``(op @ x)[s] = sum_k coefficients[k, s]
-    * x[s ^ masks[k]]``: distinct int64 ``masks`` in order of first
-    appearance, ``masks[0] == 0`` carrying the diagonal, and row k of
-    ``coefficients`` (float64 for a real plan, else complex128) summing the
-    weights of every move whose out and in bits differ exactly in
-    ``masks[k]``, each on its destination slab.  ContractError when the plan
-    keeps fallback terms."""
-    if plan.fallback:
-        raise ContractError(
-            f"the flip form needs terms on at most two sites; {len(plan.fallback)} "
-            "term(s) act on three or more"
-        )
-    row_of = {0: 0}  # flip mask -> row, in order of first appearance
-    for move in plan.moves:
-        row_of.setdefault(move[4], len(row_of))
-    coefficients = np.zeros((len(row_of), plan.diagonal.size),
-                            dtype=np.float64 if plan.real else np.complex128)
-    coefficients[0] = plan.diagonal
-    for shape, dst, _, weight, mask, _ in plan.moves:
-        part = coefficients[row_of[mask]].reshape(shape)[dst]
-        part += weight
-    return np.array(list(row_of), dtype=np.int64), coefficients
 
 
 def _apply_site(src, f, slot: int, n: int, out) -> None:
@@ -523,7 +500,7 @@ def _apply_plan(plan: MatvecPlan, x) -> np.ndarray:
     # numpy 2
     bufsize = np.setbufsize(_SLAB_BUFSIZE)
     try:
-        for shape, dst, src, weight, _, axes in plan.moves:
+        for shape, dst, src, weight, axes in plan.moves:
             out = y.reshape(shape)[dst]
             part = source.reshape(shape)[src]
             if axes:
@@ -619,8 +596,9 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     per string (``_sum_strings``) and, the strings being orthogonal with
     squared norm 2^n, the norm is 2^(n/2) times that of the sums.  Work and memory are
     one product per pair of strings.  Raises ContractError when the site
-    counts differ and SizingError past 63 sites, whose strings refuse to be
-    written, or when a product, a sum or the norm is past the double range.
+    counts differ and SizingError past 63 sites or ``MAX_PAULI_STRINGS``
+    strings, whose strings refuse to be written, or when a product, a sum or
+    the norm is past the double range.
     """
     if a.n_sites != b.n_sites:
         raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
@@ -738,7 +716,7 @@ class ExchangeSum(KronSum):
 def spec_to_kronsum(spec, z_scale: float = 1.0) -> ExchangeSum:
     """Matrix-free form of the Hamiltonian builder's general form: the field
     -mu_b0 and one exchange edge (i, j, J, J * z_scale) per coupling, so
-    ``build_general(spec, z_scale)`` is its flip form scattered.  Every sigma_z
+    ``build_general(spec, z_scale)`` is its strings scattered.  Every sigma_z
     sigma_z coupling is scaled by ``z_scale`` (the XXZ anisotropy Delta; 1 is
     isotropic)."""
     edges = [(e.i, e.j, e.strength, e.strength * z_scale) for e in spec.couplings]
@@ -793,13 +771,27 @@ def total_spin_squared_ladder(n: int):
     return spin_squared
 
 
-def _scatter_dense(plan: MatvecPlan) -> np.ndarray:
-    """The plan's flip form as a complex128 2^n x 2^n matrix, entry
-    (s, s ^ masks[k]) = coefficients[k, s]; ContractError on fallback terms."""
-    masks, coefficients = _flip_form(plan)
-    states = np.arange(coefficients.shape[1])
+# finite strings can sum past the double range; that is refused
+@np.errstate(over="ignore", invalid="ignore")
+def _scatter_dense(op: KronSum) -> np.ndarray:
+    """The operator as a complex128 2^n x 2^n matrix, read from its Pauli
+    strings alone: c X^x Z^z puts c (-1)^parity(z & s) at (s ^ x, s), the
+    strings that share an x mask summed in string order into one row.
+    SizingError when an entry is past the double range."""
+    x, z, c = op.pauli_strings
+    states = np.arange(op.dimension)
+    masks, row = np.unique(x, return_inverse=True)
+    # parity(z & s) read from a table of the parities of 0 .. 2^n - 1
+    odd = _parity(states.copy()).astype(bool)
+    signed = np.where(odd[z[:, None] & states], -c[:, None], c[:, None])
+    rows = np.zeros((masks.size, states.size), dtype=signed.dtype)
+    for k, r in enumerate(row.tolist()):
+        rows[r] += signed[k]
+    del signed
+    if not np.isfinite(rows).all():
+        raise SizingError(f"the {op.n_sites}-site operator sums to an entry past the double range")
     dense = np.zeros((states.size, states.size), dtype=np.complex128)
-    dense[states, states ^ masks[:, None]] = coefficients
+    dense[states ^ masks[:, None], states] = rows
     return dense
 
 
@@ -814,20 +806,20 @@ def _check_dense_site_count(n) -> int:
 def total_component(axis: str, n: int) -> np.ndarray:
     """Dense total spin component S_axis = (1/2) * sum over sites of the
     lifted Pauli matrix; the 1/2 is the spin-1/2 prefactor with hbar = 1.
-    Scattered from the flip form of ``total_component_kronsum``."""
+    Scattered from the Pauli strings of ``total_component_kronsum``."""
     pauli(axis)  # an unknown axis is a ValueError before any site check
     n = _check_dense_site_count(n)
     _check_capacity(n, "dense total component")
-    return _scatter_dense(total_component_kronsum(axis, n).plan)
+    return _scatter_dense(total_component_kronsum(axis, n))
 
 
 def total_spin_squared(n: int) -> np.ndarray:
     """Dense S^2 = S_x^2 + S_y^2 + S_z^2 = n(4 - n)/4 I + sum_{i<j} SWAP_ij;
     eigenvalues s(s+1) with s in {n/2, n/2 - 1, ..., (n mod 2)/2}.
-    Scattered from the flip form of ``total_spin_squared_kronsum``."""
+    Scattered from the Pauli strings of ``total_spin_squared_kronsum``."""
     n = _check_dense_site_count(n)
     _check_capacity(n, "dense total spin squared")
-    return _scatter_dense(total_spin_squared_kronsum(n).plan)
+    return _scatter_dense(total_spin_squared_kronsum(n))
 
 
 # relative tolerance of the Hermitian check
@@ -961,8 +953,9 @@ def lanczos_extremal(op: KronSum, which: str = "lowest", k: int = 1,
     positive, ContractError when the operator is not Hermitian: the
     Frobenius norm of its anti-Hermitian part, read exactly from its merged
     Pauli strings, passes 1e-8 times that of the operator, and SizingError
-    when twice the l1 norm of those strings, sum_R |c_R|, squared, is past
-    the double range.  An operator either check refuses compiles no plan.
+    when it expands into more than ``MAX_PAULI_STRINGS`` strings or twice
+    the l1 norm of those strings, sum_R |c_R|, squared, is past the double
+    range.  An operator either check refuses compiles no plan.
     """
     if which not in ("lowest", "highest"):
         raise ContractError(f"which must be 'lowest' or 'highest', got {which!r}")

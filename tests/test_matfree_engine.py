@@ -31,7 +31,6 @@ from kronspin.matfree_engine import (
     KronSum,
     KronTerm,
     _compile,
-    _flip_form,
     _scatter_dense,
     commutator_norm,
     lanczos_extremal,
@@ -319,8 +318,11 @@ class TestCompiledPlan:
         # sigma_x sigma_x + sigma_y sigma_y: 2J at (01 <- 10) and (10 <- 01);
         # the (00 <- 11) and (11 <- 00) entries cancel and are dropped
         assert [m[3] for m in plan.moves] == [-1.5, -1.5]
-        # each flip-flop flips the bits of sites 1 and 3
-        assert [m[4] for m in plan.moves] == [0b101, 0b101]
+        # each flip-flop flips the bits of sites 1 and 3: 2J from s to s ^ 0b101
+        # where the two bits differ
+        states = np.arange(8)
+        flips = build_general(spec)[states ^ 0b101, states]
+        assert flips.tolist() == [0, -1.5, 0, -1.5, -1.5, 0, -1.5, 0]
         assert plan.amplitudes_touched == 8 + 2 * 2
 
     def test_plan_is_built_once_per_operator(self, rng):
@@ -404,7 +406,7 @@ def reference_matvec(op: KronSum, x) -> np.ndarray:
     real = plan.real and x.dtype == np.float64
     x = np.ascontiguousarray(x, dtype=np.float64 if real else np.complex128)
     y = plan.diagonal * x
-    for shape, dst, src, weight, _, _ in plan.moves:
+    for shape, dst, src, weight, _ in plan.moves:
         out = y.reshape(shape)[dst]
         out += weight * x.reshape(shape)[src]
     for term in plan.fallback:
@@ -651,13 +653,41 @@ def two_site_kronsum(rng, n: int) -> KronSum:
     return KronSum(n, tuple(t for t in op.terms if len(t.active_slots) <= 2))
 
 
+def flip_form(op: KronSum) -> tuple[np.ndarray, np.ndarray]:
+    """The operator's plan as masked bit flips (Sandvik, arXiv:1101.3281
+    sec. 4), read from its diagonal and moves alone: ``(op x)[s] = sum_k
+    coefficients[k, s] x[s ^ masks[k]]``, with distinct ``masks`` in order
+    of first appearance, ``masks[0] == 0`` carrying the diagonal, and each
+    move adding its weight on its destination slab to the row of the state
+    bits in which its out and in slab indices differ.  Coefficients are
+    float64 for a real plan, else complex128; terms on three or more sites
+    are not covered."""
+    plan = op.plan
+    assert not plan.fallback
+    row_of = {0: 0}
+    rows = []
+    for shape, dst, src, _, _ in plan.moves:
+        # slot axes are the odd ones of the slab shape, and an axis's bit is
+        # log2 of the amplitudes after it
+        mask = sum(math.prod(shape[a + 1:]) for a in range(1, len(shape), 2) if dst[a] != src[a])
+        rows.append(row_of.setdefault(mask, len(row_of)))
+    coefficients = np.zeros((len(row_of), op.dimension),
+                            dtype=np.float64 if plan.real else np.complex128)
+    coefficients[0] = plan.diagonal
+    for (shape, dst, _, weight, _), row in zip(plan.moves, rows):
+        part = coefficients[row].reshape(shape)[dst]
+        part += weight
+    return np.array(list(row_of), dtype=np.int64), coefficients
+
+
 def flip_form_norm(a: KronSum, b: KronSum) -> float:
-    """Oracle for n <= 12: the Frobenius norm of ab - ba from the flip forms.
+    """Oracle for n <= 12: the Frobenius norm of ab - ba from the flip forms
+    of the plans, without the Pauli strings.
     With a = sum_alpha c_alpha[s] x[s ^ alpha] and b = sum_beta d_beta[s]
     x[s ^ beta], the commutator has flip mask alpha ^ beta with coefficient
     c_alpha[s] d_beta[s ^ alpha] - d_beta[s] c_alpha[s ^ beta], summed over
     the pairs sharing that mask; one length-2^n row per distinct mask."""
-    (masks_a, c), (masks_b, d) = _flip_form(a.plan), _flip_form(b.plan)
+    (masks_a, c), (masks_b, d) = flip_form(a), flip_form(b)
     states = np.arange(a.dimension)
     products = np.bitwise_xor.outer(masks_a, masks_b)
     distinct, row_of = np.unique(products, return_inverse=True)
@@ -732,7 +762,7 @@ class TestCommutatorNorm:
         # the oracle's own check
         states = np.arange(1 << n)
         for op in (two_site_kronsum(rng, n), spec_to_kronsum(random_spec(rng, n))):
-            masks, coefficients = _flip_form(op.plan)
+            masks, coefficients = flip_form(op)
             assert masks[0] == 0
             assert len(set(masks.tolist())) == masks.size
             assert coefficients.dtype == (np.float64 if op.plan.real else np.complex128)
@@ -741,11 +771,14 @@ class TestCommutatorNorm:
             assert np.max(np.abs(y - matvec(op, x))) < 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_exchange_edge_is_one_flip_mask(self):
-        # both flip-flop moves of edge (1, 3) flip bits 2 and 0
+        # both flip-flop moves of edge (1, 3) flip bits 2 and 0, so the
+        # dense matrix is nonzero only on the diagonal and at (s ^ 0b101, s)
         op = spec_to_kronsum(HamiltonianSpec(3, 0.4, (CouplingEdge(1, 3, -0.75),)))
-        masks, coefficients = _flip_form(op.plan)
-        assert masks.tolist() == [0, 0b101]
-        assert coefficients[1].tolist() == [0, -1.5, 0, -1.5, -1.5, 0, -1.5, 0]
+        dense = _scatter_dense(op)
+        states = np.arange(8)
+        assert dense[states ^ 0b101, states].tolist() == [0, -1.5, 0, -1.5, -1.5, 0, -1.5, 0]
+        dense[states, states] = dense[states ^ 0b101, states] = 0
+        assert not dense.any()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exchange_strings_match_the_expanded_terms(self, rng, n):
@@ -853,32 +886,95 @@ class TestUnaddressableRegister:
             call(make(n))
 
 
+def random_term_pair(rng, k: int) -> KronSum:
+    """A term of random complex factors on all k sites plus its adjoint:
+    2 * 4^k Pauli strings."""
+    factors = tuple(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                    for _ in range(k))
+    term = KronTerm(complex(*rng.standard_normal(2)), factors)
+    return KronSum(k, (term, adjoint(term)))
+
+
+class TestPauliStringCap:
+    """A general term on k sites expands into up to 4^k strings; an operator
+    of more than MAX_PAULI_STRINGS is refused, counted from its factors'
+    weights before any string is written."""
+
+    def test_ten_site_pair_is_expanded(self):
+        op = random_term_pair(np.random.default_rng(3110), 10)
+        assert op.pauli_strings[0].size == 2 * 4 ** 10 <= matfree_engine.MAX_PAULI_STRINGS
+
+    @pytest.mark.parametrize("call", [lambda op: op.pauli_strings, lanczos_extremal,
+                                      lambda op: commutator_norm(op, op), _scatter_dense],
+                             ids=["strings", "lanczos", "commutator", "dense"])
+    def test_eleven_site_pair_is_refused(self, call):
+        op = random_term_pair(np.random.default_rng(3111), 11)
+
+        def refused():
+            with pytest.raises(SizingError, match=f"expands into {2 * 4 ** 11} Pauli strings"):
+                call(op)
+
+        assert traced_peak(refused) < 1 << 20
+        assert "plan" not in vars(op)
+
+
 class TestScatterDense:
-    """The dense scatter reads a plan through its flip form, so moves that
-    share a flip mask sum into one entry."""
+    """The dense scatter reads an operator's Pauli strings alone, so strings
+    that share an x mask sum into one row and terms on any number of sites
+    are scattered."""
 
     def test_shared_flip_mask_sums(self):
         # sigma_x x I and sigma_x x sigma_z both flip bit 1: their sum is 2
         # where sigma_z is +1 and 0 where it is -1
         op = KronSum(2, (KronTerm(1.0, (pauli("x"), None)),
                          KronTerm(1.0, (pauli("x"), pauli("z")))))
-        assert np.array_equal(_scatter_dense(op.plan), to_dense(op))
+        assert np.array_equal(_scatter_dense(op), to_dense(op))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_to_dense(self, rng, n):
         # one- and two-site terms on every site set, each mask of a single
-        # site shared by the site's own moves and those of its pairs
+        # site shared by the site's own strings and those of its pairs
         for op in (two_site_kronsum(rng, n), total_component_kronsum("y", n)):
             want = to_dense(op)
-            got = _scatter_dense(op.plan)
+            got = _scatter_dense(op)
             assert got.dtype == np.complex128
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    def test_three_site_term_is_contract_error(self, rng):
-        xxx = KronSum(3, (KronTerm(1.0, (pauli("x"),) * 3),))
-        for op in (xxx, mixed_kronsum(rng, 4)):
-            with pytest.raises(ContractError, match="three or more"):
-                _scatter_dense(op.plan)
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_terms_on_three_or_more_sites_match_to_dense(self, rng, n):
+        xxx = KronSum(n, (KronTerm(1.0, (pauli("x"),) * 3 + (None,) * (n - 3)),))
+        for op in (xxx, mixed_kronsum(rng, n)):
+            want = to_dense(op)
+            got = _scatter_dense(op)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert "plan" not in op.__dict__
+
+    def test_dense_builders_compile_no_plan(self, monkeypatch):
+        rng = np.random.default_rng(3100)
+        specs = [(random_spec(rng, n), z_scale) for n in (1, 4, 7) for z_scale in (1.0, -0.3)]
+        builds = [lambda s=s, z=z: build_general(s, z) for s, z in specs]
+        for n in (1, 3, 6):
+            builds += [lambda a=a, n=n: total_component(a, n) for a in "xyz"]
+            builds.append(lambda n=n: total_spin_squared(n))
+        want = [build().tobytes() for build in builds]
+
+        def refuse(*args):
+            raise AssertionError("a matvec plan was written")
+
+        monkeypatch.setattr(matfree_engine, "_write_plan", refuse)
+        with pytest.raises(AssertionError, match="plan was written"):
+            spec_to_kronsum(chain_spec(3)).plan
+        assert [build().tobytes() for build in builds] == want
+
+    @pytest.mark.parametrize("j, z_scale", [(1e308, 1.0), (6e307, 2.0)])
+    def test_entry_past_the_double_range_is_refused(self, j, z_scale):
+        # finite strings whose sums overflow: the flip-flop entry 2J at
+        # J = 1e308, the zz diagonal 2 J z_scale at J = 6e307
+        spec = HamiltonianSpec(3, 1.0, (CouplingEdge(1, 2, j), CouplingEdge(2, 3, j)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizingError, match="past the double range"):
+                _scatter_dense(spec_to_kronsum(spec, z_scale))
 
 
 class TestConservedKronsums:
@@ -968,8 +1064,8 @@ def assert_plans_bitwise_equal(got, want):
     assert repr(got.shared_weight) == repr(want.shared_weight)
     assert len(got.moves) == len(want.moves)
     for move, wanted in zip(got.moves, want.moves):
-        shape, dst, src, weight, mask, axes = move
-        assert (shape, dst, src, mask, axes) == wanted[:3] + wanted[4:]
+        shape, dst, src, weight, axes = move
+        assert (shape, dst, src, axes) == wanted[:3] + wanted[4:]
         # same type and the same double, sign included
         assert type(weight) is type(wanted[3]) and repr(weight) == repr(wanted[3])
 
