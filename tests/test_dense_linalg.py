@@ -136,6 +136,24 @@ class TestEigh:
         s = eigh(SZ, want_vectors=False)
         assert s.eigenvectors is None
 
+    def test_entries_hundreds_of_orders_apart(self):
+        # LAPACK's Householder reduction of kron(hb, ha) put two eigenvalues
+        # 4e-8 off while the entries near 1e-213 were kept
+        t = 1.3635535596307492e-211
+        g = 0.04044975552914509j
+        ha = np.array([[t, t, t + g], [t, t, t], [t - g, t, t]])
+        hb = np.array([
+            [2.9842151136540762e-02, 3.2576654162113527e-02, 5.9172096041275639e-41],
+            [3.2576654162113527e-02, 0.0, 0.0],
+            [5.9172096041275639e-41, 0.0, 0.0],
+        ])
+        exact = np.sort(np.outer(eigh(ha).eigenvalues, eigh(hb).eigenvalues).ravel())
+        for m in (kron(ha, hb), kron(hb, ha)):
+            assert np.max(np.abs(eigh(m, want_vectors=False).eigenvalues - exact)) < 1e-15
+            s = eigh(m)
+            v = s.eigenvectors
+            assert np.max(np.abs(m @ v - v * s.eigenvalues)) < 1e-15
+
     def test_degenerate_spectrum(self):
         s = eigh(np.diag([2.0, 2.0, 1.0]).astype(complex))
         assert np.allclose(s.eigenvalues, [1.0, 2.0, 2.0], atol=1e-14)
