@@ -496,10 +496,9 @@ def _apply_plan(plan: MatvecPlan, x) -> np.ndarray:
         scratch = np.empty_like(x)
     else:
         source = shared * x
-    # set and restored by hand: np.errstate scopes the buffer size only on
-    # numpy 2
-    bufsize = np.setbufsize(_SLAB_BUFSIZE)
-    try:
+    # np.errstate restores the caller's buffer size on exit
+    with np.errstate():
+        np.setbufsize(_SLAB_BUFSIZE)
         for shape, dst, src, weight, axes in plan.moves:
             out = y.reshape(shape)[dst]
             part = source.reshape(shape)[src]
@@ -512,8 +511,6 @@ def _apply_plan(plan: MatvecPlan, x) -> np.ndarray:
             # order="C" keeps the axis order given, where numpy would
             # otherwise iterate the smallest stride innermost
             np.add(out, part, out=out, order="C")
-    finally:
-        np.setbufsize(bufsize)
     if plan.fallback:
         n = dim.bit_length() - 1
         ping = np.empty(dim, dtype=np.complex128)
@@ -547,15 +544,6 @@ def to_dense(op: KronSum) -> np.ndarray:
         dim = op.dimension
         out = np.zeros((dim, dim), dtype=np.complex128)
     return out
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each non-negative int64 in ``v``, folded
-    in place by shifts (``np.bitwise_count`` needs numpy 2)."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    v &= 1
-    return v
 
 
 def _sum_strings(x: np.ndarray, z: np.ndarray, c: np.ndarray) -> tuple:
@@ -594,26 +582,29 @@ def commutator_norm(a: KronSum, b: KronSum) -> float:
     parity, and then [P, Q] = 2 PQ = +-2 X^(xa ^ xb) Z^(za ^ zb), of sign
     (-1)^parity(za & xb); otherwise they commute.  The products are summed
     per string (``_sum_strings``) and, the strings being orthogonal with
-    squared norm 2^n, the norm is 2^(n/2) times that of the sums.  Work and memory are
-    one product per pair of strings.  Raises ContractError when the site
-    counts differ and SizingError past 63 sites or ``MAX_PAULI_STRINGS``
-    strings, whose strings refuse to be written, or when a product, a sum or
-    the norm is past the double range.
+    squared norm 2^n, the norm is 2^(n/2) times that of the sums.  Work is
+    one product per pair of strings; memory is one int64 AND and two uint8
+    popcounts per pair, then the anticommuting pairs.  Raises ContractError
+    when the site counts differ and SizingError past 63 sites or
+    ``MAX_PAULI_STRINGS`` strings, whose strings refuse to be written, or
+    when a product, a sum or the norm is past the double range.
     """
     if a.n_sites != b.n_sites:
         raise ContractError(f"commutator of operators on {a.n_sites} and {b.n_sites} sites")
     xa, za, ca = a.pauli_strings
     xb, zb, cb = b.pauli_strings
-    # one |A| x |B| array: the symplectic form, whose parity marks the
+    # the symplectic form (za & xb) ^ (xa & zb) has the parity of the sum
+    # of the two popcounts, at most 126: one uint8 per pair marks the
     # anticommuting pairs
-    pairs = za[:, None] & xb
-    pairs ^= xa[:, None] & zb
-    i, j = np.nonzero(_parity(pairs))
-    del pairs
+    odd = np.bitwise_count(za[:, None] & xb)
+    odd += np.bitwise_count(xa[:, None] & zb)
+    odd &= 1
+    i, j = np.nonzero(odd)
+    del odd
     # an overflow leaves an inf or NaN in the sums, and so in the norm
     with np.errstate(over="ignore", invalid="ignore"):
         # ca cb (+-2), not +-2 ca cb, which overflows on 1e308 * 0.5
-        c = ca[i] * cb[j] * np.where(_parity(za[i] & xb[j]), -2.0, 2.0)
+        c = ca[i] * cb[j] * np.where(np.bitwise_count(za[i] & xb[j]) & 1, -2.0, 2.0)
         sums = _sum_strings(xa[i] ^ xb[j], za[i] ^ zb[j], c)[2:]
         norm = frobenius(sums) * 2.0 ** (a.n_sites / 2)
     if not math.isfinite(norm):
@@ -781,9 +772,7 @@ def _scatter_dense(op: KronSum) -> np.ndarray:
     x, z, c = op.pauli_strings
     states = np.arange(op.dimension)
     masks, row = np.unique(x, return_inverse=True)
-    # parity(z & s) read from a table of the parities of 0 .. 2^n - 1
-    odd = _parity(states.copy()).astype(bool)
-    signed = np.where(odd[z[:, None] & states], -c[:, None], c[:, None])
+    signed = np.where(np.bitwise_count(z[:, None] & states) & 1, -c[:, None], c[:, None])
     rows = np.zeros((masks.size, states.size), dtype=signed.dtype)
     for k, r in enumerate(row.tolist()):
         rows[r] += signed[k]
@@ -847,7 +836,7 @@ def _check_hermitian(op: KronSum) -> float:
     ||op||_2 and every entry of op x over max |x|; inf or NaN when past the
     double range.  No vector of length 2^n is formed and no draw is made."""
     x, z, re, im = _sum_strings(*op.pauli_strings)
-    anti = frobenius(np.where(_parity(x & z), re, im))
+    anti = frobenius(np.where(np.bitwise_count(x & z) & 1, re, im))
     whole = frobenius([re, im])
     if anti > _HERMITIAN_RTOL * whole:
         raise ContractError(

@@ -41,9 +41,12 @@ def pauli(axis: str) -> np.ndarray:
 
 def _check_capacity(n: int, what: str) -> None:
     if n > DENSE_SITE_CAP:
+        # 2^n is written as a power: Python refuses to print an int of more
+        # than 4300 digits
         raise CapacityError(
-            f"{what} for n={n} sites exceeds the dense cap of {DENSE_SITE_CAP} "
-            f"(dimension {2 ** DENSE_SITE_CAP}); use the matrix-free engine"
+            f"{what} for n={n} sites (dimension 2^{n}) exceeds the dense cap of "
+            f"{DENSE_SITE_CAP} sites (dimension 2^{DENSE_SITE_CAP} = {2 ** DENSE_SITE_CAP}); "
+            "use the matrix-free engine"
         )
 
 

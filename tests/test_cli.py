@@ -357,10 +357,15 @@ class TestSpectrum:
         assert row["dimension"] == 4
         assert np.allclose(row["eigenvalues"], [-3.0, -1.0, 1.0, 3.0], atol=1e-10)
 
-    def test_dense_above_cap_suggests_lanczos(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, HamiltonianSpec(13, 1.0))
+    @pytest.mark.parametrize("n", [13, 100_000])
+    def test_dense_above_cap_suggests_lanczos(self, tmp_path, capsys, n):
+        # 2^100000 has 30103 digits, past what Python prints of an int
+        spec = write_spec(tmp_path, HamiltonianSpec(n, 1.0))
         assert run(["spectrum", spec]) == EXIT_ENGINE
-        assert "--engine lanczos" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"n={n} sites (dimension 2^{n}) exceeds the dense cap" in err
+        assert "--engine lanczos" in err
+        assert "Traceback" not in err
 
     def test_lanczos_non_convergence(self, tmp_path, capsys):
         spec = h2_spec(tmp_path)

@@ -116,8 +116,10 @@ class TestLift:
             lift(np.eye(3), 1, 2)
 
     def test_capacity_cap(self):
-        with pytest.raises(CapacityError, match="matrix-free"):
+        with pytest.raises(CapacityError, match="matrix-free") as err:
             lift(pauli("x"), 1, DENSE_SITE_CAP + 1)
+        assert ("n=13 sites (dimension 2^13) exceeds the dense cap of 12 sites "
+                "(dimension 2^12 = 4096)") in str(err.value)
 
 
 class TestTotalComponent:
@@ -136,7 +138,7 @@ class TestTotalComponent:
             assert np.sum(np.isclose(values, n / 2 - m)) == math.comb(n, m)
 
     def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"n=13 sites \(dimension 2\^13\)"):
             total_component("z", DENSE_SITE_CAP + 1)
 
     def test_bad_site_count(self):
